@@ -74,7 +74,7 @@ let policy_arg =
     & info [ "policy"; "p" ] ~docv:"POLICY"
         ~doc:
           (Printf.sprintf
-             "Replacement policy: %s. Default: the paper's configuration \
+             "The replacement policy: %s. Default: the paper's configuration \
               (random). Newcache keeps its SecRAND replacement regardless."
              Policy.names))
 

@@ -13,7 +13,7 @@ open Cachesec_experiments
 let candidates =
   [
     ("SA 8-way (baseline)", Spec.paper_sa);
-    ("SA 16-way", Spec.Sa { ways = 16; policy = Replacement.Random });
+    ("SA 16-way", Spec.Sa { ways = 16; policy = Policy.Random });
     ("Nomo 2/8", Spec.paper_nomo);
     ("Newcache k=4", Spec.paper_newcache);
     ("RP 8-way", Spec.paper_rp);

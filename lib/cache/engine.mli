@@ -13,7 +13,7 @@ type t = {
       (** standard deviation of Gaussian observation noise this cache adds
           to timing measurements (non-zero only for the noisy cache) *)
   kernel : string;
-      (** which access path serves this engine: a monomorphized kernel
+      (** which access path serves this engine: a kernel
           name (["sa-lru"], ["newcache"], ...) or ["generic"] for the
           policy-dispatching fallback. Reported as the [cache.kernel]
           telemetry gauge and in bench rows. *)
@@ -29,10 +29,10 @@ type t = {
           calls of [access] in state, RNG draws and counters; [Fill] and
           [Count] modes never build an [Outcome.t]. *)
   run_kernel : string;
-      (** which path serves [access_run]: a monomorphized kernel name,
+      (** which path serves [access_run]: a kernel name,
           ["generic"] (scalar [access] looped — wrappers and
-          non-monomorphized engines), or ["scalar"] (the [Kernel.Scalar]
-          selection: monomorphized scalar access under the generic loop —
+          engines without a kernel), or ["scalar"] (the [Kernel.Scalar]
+          selection: the kernel's scalar access under the generic loop —
           the pre-batching cost model benched as the "scalar" rows). *)
   peek : pid:int -> int -> bool;
       (** non-mutating: would [access] hit right now? *)

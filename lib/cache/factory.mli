@@ -21,7 +21,7 @@ val build :
   Engine.t
 (** Instantiate. [config]'s [ways] is overridden by the spec's [ways]
     (its line count and line size are kept); Newcache ignores [ways].
-    [?kernel] (default [Auto]) selects monomorphized access kernels
+    [?kernel] (default [Auto]) selects the access kernels
     where they exist (SA, PL, RP, Newcache, Noisy's inner SA) and is
     ignored by the always-generic architectures; [Generic] forces the
     dispatching fallback everywhere (the differential-testing oracle). *)

@@ -3,7 +3,7 @@ open Cachesec_stats
 type t = {
   l2 : Engine.t;
   l1_config : Config.t;
-  l1_policy : Replacement.policy;
+  l1_policy : Policy.t;
   l1s : (int, Engine.t) Hashtbl.t;
   rng : Rng.t;
   counters : Counters.t;
@@ -13,7 +13,7 @@ let l2_hit_time = 0.4
 
 let default_l1 = Config.v ~line_bytes:64 ~lines:64 ~ways:4
 
-let create ?(l1_config = default_l1) ?(l1_policy = Replacement.Random) ~l2 ~rng () =
+let create ?(l1_config = default_l1) ?(l1_policy = Policy.Random) ~l2 ~rng () =
   {
     l2;
     l1_config;

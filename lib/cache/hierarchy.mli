@@ -26,7 +26,7 @@ val l2_hit_time : float
 
 val create :
   ?l1_config:Config.t ->
-  ?l1_policy:Replacement.policy ->
+  ?l1_policy:Policy.t ->
   l2:Engine.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->

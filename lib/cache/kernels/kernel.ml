@@ -16,22 +16,6 @@ let selection_of_string = function
   | "scalar" -> Some Scalar
   | _ -> None
 
-(* Table-driven kernel registry, keyed by [Policy.id]: each engine
-   declares its monomorphized kernels once and [pick] replaces the old
-   per-engine [Kernel.Auto, Replacement.Lru -> ...] match ladders. A
-   policy without an entry falls back to the generic path — adding a
-   policy never breaks an engine, it just runs generic until someone
-   monomorphizes it. *)
-
-let table ~prefix entries =
-  let t = Array.make Policy.count None in
-  List.iter
-    (fun (p, k) -> t.(Policy.id p) <- Some (prefix ^ "-" ^ Policy.to_string p, k))
-    entries;
-  t
-
-let pick t (policy : Policy.t) = t.(Policy.id policy)
-
 (* --- batched trace replay --------------------------------------------- *)
 
 (* Accumulation state for a [Count] run: true/classified miss counts and
@@ -118,3 +102,12 @@ let run_of_scalar (access : pid:int -> int -> Outcome.t) ~pid ~trace ~pos ~len
     for k = 0 to len - 1 do
       Array.unsafe_set out k (access ~pid (Array.unsafe_get trace (pos + k)))
     done
+
+(* The one engine-build-time selection every kernel-carrying engine
+   shares: [Auto] binds the kernel twins, [Scalar] the scalar kernel
+   under the scalar-looping run, [Generic] the dispatching fallback. *)
+let select selection ~name ~fallback ~access ~run =
+  match selection with
+  | Auto -> (access, run, name, name)
+  | Scalar -> (access, run_of_scalar access, name, scalar)
+  | Generic -> (fallback, run_of_scalar fallback, generic, generic)

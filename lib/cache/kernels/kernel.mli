@@ -1,9 +1,9 @@
 (** Access-kernel selection and batched trace replay.
 
-    Engines with monomorphized access loops ({!Kernel_sa}, {!Kernel_pl},
+    Engines with flattened access loops ({!Kernel_sa}, {!Kernel_pl},
     {!Kernel_rp}, {!Kernel_newcache}) take a [selection] at
-    engine-build time: [Auto] binds the per-(architecture, policy)
-    scalar kernel AND its batched [run] twin once, [Generic] keeps the
+    engine-build time: [Auto] binds the architecture's scalar kernel
+    AND its batched [run] twin once, [Generic] keeps the
     policy-dispatching path — the differential-testing oracle — and
     [Scalar] binds the monomorphized scalar kernel but leaves the
     batched entry point on the scalar-looping fallback (the exact
@@ -26,17 +26,6 @@ val scalar : string
 
 val selection_to_string : selection -> string
 val selection_of_string : string -> selection option
-
-(** {2 Kernel registry}
-
-    One table per engine, keyed by {!Policy.id}. [table ~prefix entries]
-    labels each kernel [prefix ^ "-" ^ Policy.to_string p] (the
-    [Engine.t.kernel] string); {!pick} returns the kernel for a policy,
-    or [None] when the engine has no monomorphized loop for it — the
-    caller then uses the generic path. *)
-
-val table : prefix:string -> (Policy.t * 'k) list -> (string * 'k) option array
-val pick : (string * 'k) option array -> Policy.t -> (string * 'k) option
 
 (** {2 Batched trace replay}
 
@@ -90,3 +79,22 @@ val run_of_scalar :
     [Engine.t.access_run] fallback, the [Scalar] selection's
     pre-batching cost model, and the differential oracle the batched
     kernels are fuzzed against. *)
+
+(** {2 Selection} *)
+
+val select :
+  selection ->
+  name:string ->
+  fallback:(pid:int -> int -> Outcome.t) ->
+  access:(pid:int -> int -> Outcome.t) ->
+  run:(pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit) ->
+  (pid:int -> int -> Outcome.t)
+  * (pid:int -> trace:int array -> pos:int -> len:int -> mode -> unit)
+  * string
+  * string
+(** [select selection ~name ~fallback ~access ~run] is the engine's
+    [(access, access_run, kernel, run_kernel)]: [Auto] binds the kernel
+    twins [access]/[run], both labelled [name]; [Scalar] binds [access]
+    under {!run_of_scalar}, the run labelled {!scalar}; [Generic] binds
+    the policy-dispatching [fallback] under {!run_of_scalar}, both
+    labelled {!generic}. *)

@@ -1,5 +1,5 @@
-(* RP cache: shared mapping state + monomorphized per-policy access
-   loops.
+(* RP cache: shared mapping state + the access kernels for every
+   replacement policy.
 
    The per-pid permutation tables live here (not in [Rp]) because both
    the generic [Rp.access] path and the kernels below read and mutate
@@ -8,6 +8,8 @@
    leave the other serving a stale table. [Rp.t] embeds a [map] and
    delegates.
 
+   The kernels are the [Kernel_sa] loops with RP's own probe (through
+   the accessor's permutation table, owner must match) and miss tail.
    Bit-identity contract with [Rp.access]: same probe, same victim
    choice, same internal/external split, same RNG draw order (victim
    draw, then set draw + way draw on external misses). *)
@@ -71,130 +73,48 @@ let swap_mapping m ~sets pid ~logical ~target_set =
   tbl.(logical) <- tbl.(other);
   tbl.(other) <- tmp
 
-(* Miss tail shared by the three policies: internal miss replaces in
-   place; external miss (victim way owned by another process) fills a
-   random line of a random set and swaps the accessor's mappings. *)
-let miss_tail m (b : Backing.t) (s : Slab.t) way ~pid ~addr ~logical ~seq =
+(* The way an RP miss fills. Internal miss (the victim is invalid or the
+   accessor's own line): the victim itself. External miss: a random line
+   of a random set S' (set drawn first, then way), after swapping the
+   accessor's mappings of its logical set and S' — the swap touches only
+   the table, so it may precede the fill. *)
+let fill_way m (b : Backing.t) (s : Slab.t) way ~pid ~logical =
   if Array.unsafe_get s.Slab.tags way < 0
      || Array.unsafe_get s.Slab.owners way = pid
-  then begin
-    let evicted = Slab.victim s way in
-    Slab.fill s way ~tag:addr ~owner:pid ~seq;
-    Outcome.fill ~fetched:addr ~evicted
-  end
+  then way
   else begin
     let s' = Rng.int b.Backing.rng b.Backing.sets in
     let way' = (s' * s.Slab.ways) + Rng.int b.Backing.rng s.Slab.ways in
-    let evicted = Slab.victim s way' in
-    Slab.fill s way' ~tag:addr ~owner:pid ~seq;
     swap_mapping m ~sets:b.Backing.sets pid ~logical ~target_set:s';
-    Outcome.fill ~fetched:addr ~evicted
+    way'
   end
 
-let access_lru m (b : Backing.t) ~pid addr =
+let access m policy (b : Backing.t) ~pid addr =
   let s = b.Backing.slab in
-  let tags = s.Slab.tags in
   let seq = Kernel_sa.tick b in
   let logical = Kernel_sa.set_of b addr in
-  let base = (table_of m ~sets:b.Backing.sets pid).(logical) * s.Slab.ways in
+  let set = (table_of m ~sets:b.Backing.sets pid).(logical) in
+  let base = set * s.Slab.ways in
   let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
+  let i = Slab.scan_tag_owned s.Slab.tags s.Slab.owners addr pid base stop in
   let outcome =
     if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
+      Kernel_sa.touch policy s i seq;
       Outcome.hit
     end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let last_use = s.Slab.last_use in
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      miss_tail m b s way ~pid ~addr ~logical ~seq
-    end
+    else
+      let way = Kernel_sa.victim policy b.Backing.rng s set in
+      let way = fill_way m b s way ~pid ~logical in
+      Kernel_sa.fill_outcome policy s way ~pid ~addr ~seq
   in
   Counters.record b.Backing.counters ~pid outcome;
   outcome
-
-let access_fifo m (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let seq = Kernel_sa.tick b in
-  let logical = Kernel_sa.set_of b addr in
-  let base = (table_of m ~sets:b.Backing.sets pid).(logical) * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let fill_seq = s.Slab.fill_seq in
-          Slab.scan_min fill_seq (base + 1) stop base
-            (Array.unsafe_get fill_seq base)
-      in
-      miss_tail m b s way ~pid ~addr ~logical ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-let access_random m (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let seq = Kernel_sa.tick b in
-  let logical = Kernel_sa.set_of b addr in
-  let base = (table_of m ~sets:b.Backing.sets pid).(logical) * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv else base + Rng.int b.Backing.rng s.Slab.ways
-      in
-      miss_tail m b s way ~pid ~addr ~logical ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-(* --- batched run kernels ---------------------------------------------- *)
-
-(* Batched miss tail: internal misses reuse the SA fill epilogue in
-   place; external misses draw set + way (same order as [miss_tail]),
-   fill there and swap the accessor's mappings. The swap lands after the
-   counter bumps instead of before — disjoint state, identical result. *)
-let finish_miss_rp m (b : Backing.t) (s : Slab.t) way ~pid ~addr ~logical ~seq
-    g p (mode : Kernel.mode) k =
-  if Array.unsafe_get s.Slab.tags way < 0
-     || Array.unsafe_get s.Slab.owners way = pid
-  then Kernel_sa.finish_miss_fill s way ~pid ~addr ~seq g p mode k
-  else begin
-    let s' = Rng.int b.Backing.rng b.Backing.sets in
-    let way' = (s' * s.Slab.ways) + Rng.int b.Backing.rng s.Slab.ways in
-    Kernel_sa.finish_miss_fill s way' ~pid ~addr ~seq g p mode k;
-    swap_mapping m ~sets:b.Backing.sets pid ~logical ~target_set:s'
-  end
 
 (* The permutation table is hoisted once per run: [swap_mapping] mutates
    it in place (never replaces it) and [set_identity] cannot run
    mid-replay, so the per-access [table_of] memo probe collapses to an
    array read. *)
-
-let run_lru m (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+let run m policy (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
   let s = b.Backing.slab in
   let tags = s.Slab.tags in
   let ways = s.Slab.ways in
@@ -206,85 +126,16 @@ let run_lru m (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
     let addr = Array.unsafe_get trace (pos + k) in
     let seq = seq0 + k + 1 in
     let logical = Kernel_sa.set_of b addr in
-    let base = Array.unsafe_get tbl logical * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
+    let set = Array.unsafe_get tbl logical in
+    let base = set * ways in
+    let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base (base + ways) in
     if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
+      Kernel_sa.touch policy s i seq;
       Kernel_sa.finish_hit g p mode k
     end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let last_use = s.Slab.last_use in
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      finish_miss_rp m b s way ~pid ~addr ~logical ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_fifo m (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let tbl = table_of m ~sets:b.Backing.sets pid in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let logical = Kernel_sa.set_of b addr in
-    let base = Array.unsafe_get tbl logical * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Kernel_sa.finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let fill_seq = s.Slab.fill_seq in
-          Slab.scan_min fill_seq (base + 1) stop base
-            (Array.unsafe_get fill_seq base)
-      in
-      finish_miss_rp m b s way ~pid ~addr ~logical ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_random m (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let tbl = table_of m ~sets:b.Backing.sets pid in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let logical = Kernel_sa.set_of b addr in
-    let base = Array.unsafe_get tbl logical * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag_owned tags s.Slab.owners addr pid base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Kernel_sa.finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv else base + Rng.int b.Backing.rng ways
-      in
-      finish_miss_rp m b s way ~pid ~addr ~logical ~seq g p mode k
-    end
+    else
+      let way = Kernel_sa.victim policy b.Backing.rng s set in
+      let way = fill_way m b s way ~pid ~logical in
+      Kernel_sa.finish_miss_fill policy s way ~pid ~addr ~seq g p mode k
   done;
   b.Backing.seq <- seq0 + len

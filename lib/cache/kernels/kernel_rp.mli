@@ -1,4 +1,4 @@
-(** RP cache mapping state + monomorphized per-policy access kernels.
+(** RP cache mapping state + the access kernels for every policy.
 
     The per-pid permutation tables (with their one-entry memo) are owned
     here so the generic [Rp.access] path and the kernels below share one
@@ -25,22 +25,11 @@ val swap_mapping : map -> sets:int -> int -> logical:int -> target_set:int -> un
 (** Exchange the pid's mappings of [logical] and (the logical index
     currently mapped to) [target_set], keeping the table a bijection. *)
 
-val access_lru : map -> Backing.t -> pid:int -> int -> Outcome.t
-val access_fifo : map -> Backing.t -> pid:int -> int -> Outcome.t
-val access_random : map -> Backing.t -> pid:int -> int -> Outcome.t
+val access : map -> Policy.t -> Backing.t -> pid:int -> int -> Outcome.t
 
-(** {2 Batched trace replay} — see {!Kernel_sa}. External misses draw
-    set then way in the scalar order; the permutation table is hoisted
-    once per run (mutated in place, never replaced mid-replay). *)
-
-val run_lru :
-  map -> Backing.t -> pid:int -> trace:int array -> pos:int -> len:int ->
-  Kernel.mode -> unit
-
-val run_fifo :
-  map -> Backing.t -> pid:int -> trace:int array -> pos:int -> len:int ->
-  Kernel.mode -> unit
-
-val run_random :
-  map -> Backing.t -> pid:int -> trace:int array -> pos:int -> len:int ->
-  Kernel.mode -> unit
+val run :
+  map -> Policy.t -> Backing.t -> pid:int -> trace:int array -> pos:int ->
+  len:int -> Kernel.mode -> unit
+(** Batched trace replay — see {!Kernel_sa}. External misses draw set
+    then way in the scalar order; the permutation table is hoisted once
+    per run (mutated in place, never replaced mid-replay). *)

@@ -1,19 +1,19 @@
-(* Monomorphized access loops for the conventional set-associative
-   cache, one per replacement policy. Each is the [Sa.access] generic
-   path with every layer flattened into one straight-line function:
-   sequence tick and set index inlined (no [Backing] calls), the tag
-   probe and victim scans running directly over the slab arrays, and the
-   policy dispatch hoisted to engine-build time (the caller binds
-   [access_lru]/[access_fifo]/[access_random] once).
+(* The access kernels of the conventional set-associative cache: one
+   scalar [access] and one batched [run] serving every replacement
+   policy. Each is the [Sa.access] generic path flattened into one
+   straight-line function — sequence tick and set index inlined, the tag
+   probe and victim scans running directly over the slab arrays. The
+   policy is a [match] inside the loop at the three points where the
+   generic path calls [Policy]: hit [touch], miss [victim] and the
+   post-fill hook (folded into the fill tails below). Those pieces are
+   shared with [Kernel_pl] and [Kernel_rp], which add only their own
+   probe and miss tails.
 
    Bit-identity contract: state writes, RNG draw order and outcome
    construction exactly match the generic path — [test_kernels] replays
    random workloads against both. The hit path allocates nothing. *)
 
 open Cachesec_stats
-
-(* Shared straight-line pieces; top-level with all state as arguments so
-   the non-flambda compiler emits no closures. *)
 
 let[@inline] tick (b : Backing.t) =
   let seq = b.Backing.seq + 1 in
@@ -24,230 +24,84 @@ let[@inline] set_of (b : Backing.t) addr =
   if b.Backing.set_mask >= 0 then addr land b.Backing.set_mask
   else addr mod b.Backing.sets
 
-(* Fill [way] with [addr] and build the filled outcome (identical to the
-   generic miss tail). *)
-let fill_outcome (s : Slab.t) way ~pid ~addr ~seq =
+(* [Policy.touch]: the [last_use] store every policy makes, plus the
+   LFU/MFU frequency bump or the PLRU tree re-point. *)
+let[@inline] touch (policy : Policy.t) (s : Slab.t) i seq =
+  Array.unsafe_set s.Slab.last_use i seq;
+  match policy with
+  | Policy.Lfu | Policy.Mfu ->
+    Array.unsafe_set s.Slab.freq i (Array.unsafe_get s.Slab.freq i + 1)
+  | Policy.Plru -> Policy.plru_touch s i
+  | Policy.Lru | Policy.Random | Policy.Fifo | Policy.Mru -> ()
+
+let[@inline] argmin a base stop =
+  Slab.scan_min a (base + 1) stop base (Array.unsafe_get a base)
+
+let[@inline] argmax a base stop =
+  Slab.scan_max a (base + 1) stop base (Array.unsafe_get a base)
+
+(* [Policy.victim_in] over all ways of physical [set]: the first invalid
+   way, else the policy's scan (first occurrence wins ties). PLRU on a
+   non-power-of-two way count falls back to LRU order, as there. *)
+let[@inline] victim (policy : Policy.t) rng (s : Slab.t) set =
+  let ways = s.Slab.ways in
+  let base = set * ways in
+  let stop = base + ways in
+  let inv = Slab.scan_invalid s.Slab.tags base stop in
+  if inv >= 0 then inv
+  else
+    match policy with
+    | Policy.Lru -> argmin s.Slab.last_use base stop
+    | Policy.Random -> base + Rng.int rng ways
+    | Policy.Fifo -> argmin s.Slab.fill_seq base stop
+    | Policy.Mru -> argmax s.Slab.last_use base stop
+    | Policy.Lfu -> argmin s.Slab.freq base stop
+    | Policy.Mfu -> argmax s.Slab.freq base stop
+    | Policy.Plru ->
+      if Policy.plru_tree_capable ways then
+        base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) ways 1
+      else argmin s.Slab.last_use base stop
+
+(* [Policy.filled]: a fill counts as a use for the PLRU tree only. *)
+let[@inline] filled (policy : Policy.t) s way =
+  match policy with Policy.Plru -> Policy.plru_touch s way | _ -> ()
+
+(* Fill [way] with [addr] and build the filled outcome (the generic miss
+   tail). *)
+let[@inline] fill_outcome policy (s : Slab.t) way ~pid ~addr ~seq =
   let evicted = Slab.victim s way in
   Slab.fill s way ~tag:addr ~owner:pid ~seq;
+  filled policy s way;
   Outcome.fill ~fetched:addr ~evicted
 
-let access_lru (b : Backing.t) ~pid addr =
+let access policy (b : Backing.t) ~pid addr =
   let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let last_use = s.Slab.last_use in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-let access_fifo (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let fill_seq = s.Slab.fill_seq in
-          Slab.scan_min fill_seq (base + 1) stop base
-            (Array.unsafe_get fill_seq base)
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-let access_random (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv else base + Rng.int b.Backing.rng s.Slab.ways
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-let access_mru (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let last_use = s.Slab.last_use in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set last_use i seq;
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_max last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-(* LFU/MFU: the hit path carries one extra int store (the frequency
-   bump [Policy.touch] does on the generic path); the victim scan runs
-   over the frequency slab with the same first-occurrence tie-break as
-   every other scan. *)
-
-let access_lfu (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let freq = s.Slab.freq in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Array.unsafe_set freq i (Array.unsafe_get freq i + 1);
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_min freq (base + 1) stop base (Array.unsafe_get freq base)
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-let access_mfu (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let freq = s.Slab.freq in
-  let seq = tick b in
-  let base = set_of b addr * s.Slab.ways in
-  let stop = base + s.Slab.ways in
-  let i = Slab.scan_tag tags addr base stop in
-  let outcome =
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Array.unsafe_set freq i (Array.unsafe_get freq i + 1);
-      Outcome.hit
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_max freq (base + 1) stop base (Array.unsafe_get freq base)
-      in
-      fill_outcome s way ~pid ~addr ~seq
-    end
-  in
-  Counters.record b.Backing.counters ~pid outcome;
-  outcome
-
-(* Tree-PLRU: the tree word is re-pointed on every hit AND after every
-   fill ([Policy.touch]/[Policy.filled] on the generic path). The
-   non-power-of-two fallback mirrors [Policy.victim_in]'s LRU order so
-   the two paths stay bit-identical on any geometry. *)
-
-let access_plru (b : Backing.t) ~pid addr =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
   let seq = tick b in
   let set = set_of b addr in
-  let w = s.Slab.ways in
-  let base = set * w in
-  let stop = base + w in
-  let i = Slab.scan_tag tags addr base stop in
+  let base = set * s.Slab.ways in
+  let i = Slab.scan_tag s.Slab.tags addr base (base + s.Slab.ways) in
   let outcome =
     if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Policy.plru_touch s i;
+      touch policy s i seq;
       Outcome.hit
     end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else if Policy.plru_tree_capable w then
-          base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) w 1
-        else
-          let last_use = s.Slab.last_use in
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      let o = fill_outcome s way ~pid ~addr ~seq in
-      Policy.plru_touch s way;
-      o
-    end
+    else
+      fill_outcome policy s (victim policy b.Backing.rng s set) ~pid ~addr ~seq
   in
   Counters.record b.Backing.counters ~pid outcome;
   outcome
 
 (* --- batched run kernels ---------------------------------------------- *)
 
-(* One straight-line loop per policy over a packed address run: the
-   scalar kernel body with the per-access costs hoisted — the counters
-   cells resolved once per run (the pid is constant across a trace), the
-   sequence counter kept in a local and written back once, and the
-   [Outcome.t] materialized only in [Trace] mode ([Fill]/[Count] bump
-   the cells field-wise and never call [Slab.victim], so the miss path
-   stops allocating). Bit-identity contract with [len] scalar accesses:
-   same state writes, same RNG draw order, same counters (differential
-   batched-vs-scalar fuzz in test_kernels; attack golden digests). *)
+(* The scalar body over a packed address run with the per-access costs
+   hoisted: the counters cells resolved once per run (the pid is
+   constant across a trace), the sequence counter kept in a local and
+   written back once, and the [Outcome.t] materialized only in [Trace]
+   mode ([Fill]/[Count] bump the cells field-wise and never call
+   [Slab.victim], so the miss path stops allocating). *)
 
-(* Hit epilogue shared by every batched kernel (and [Kernel_pl]/
-   [Kernel_rp]/[Kernel_newcache]): counters plus per-mode accumulation.
-   [k] indexes the Trace writeback slot. *)
+(* Hit epilogue shared by every batched kernel: counters plus per-mode
+   accumulation. [k] indexes the Trace writeback slot. *)
 let finish_hit g p (mode : Kernel.mode) k =
   Counters.cell_hit g;
   Counters.cell_hit p;
@@ -259,204 +113,23 @@ let finish_hit g p (mode : Kernel.mode) k =
 (* Fill-miss epilogue (the [fill_outcome] tail): Trace builds the exact
    scalar outcome; Fill/Count test way validity directly instead of
    allocating [Slab.victim]'s [(pid, tag) option]. *)
-let finish_miss_fill (s : Slab.t) way ~pid ~addr ~seq g p (mode : Kernel.mode)
-    k =
+let finish_miss_fill policy (s : Slab.t) way ~pid ~addr ~seq g p
+    (mode : Kernel.mode) k =
   match mode with
   | Kernel.Trace out ->
-    let o = fill_outcome s way ~pid ~addr ~seq in
+    let o = fill_outcome policy s way ~pid ~addr ~seq in
     Counters.cell_record g o;
     Counters.cell_record p o;
     Array.unsafe_set out k o
   | Kernel.Fill | Kernel.Count _ ->
     let evictions = if Array.unsafe_get s.Slab.tags way >= 0 then 1 else 0 in
     Slab.fill s way ~tag:addr ~owner:pid ~seq;
+    filled policy s way;
     Counters.cell_miss_cached g ~evictions;
     Counters.cell_miss_cached p ~evictions;
     (match mode with Kernel.Count c -> Kernel.count_miss c | _ -> ())
 
-let run_lru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let last_use = s.Slab.last_use in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set last_use i seq;
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_fifo (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          let fill_seq = s.Slab.fill_seq in
-          Slab.scan_min fill_seq (base + 1) stop base
-            (Array.unsafe_get fill_seq base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_random (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv else base + Rng.int b.Backing.rng ways
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_mru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let last_use = s.Slab.last_use in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set last_use i seq;
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_max last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_lfu (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let freq = s.Slab.freq in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Array.unsafe_set freq i (Array.unsafe_get freq i + 1);
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_min freq (base + 1) stop base (Array.unsafe_get freq base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_mfu (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
-  let s = b.Backing.slab in
-  let tags = s.Slab.tags in
-  let freq = s.Slab.freq in
-  let ways = s.Slab.ways in
-  let g = Counters.global_cell b.Backing.counters in
-  let p = Counters.cell b.Backing.counters pid in
-  let seq0 = b.Backing.seq in
-  for k = 0 to len - 1 do
-    let addr = Array.unsafe_get trace (pos + k) in
-    let seq = seq0 + k + 1 in
-    let base = set_of b addr * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
-    if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Array.unsafe_set freq i (Array.unsafe_get freq i + 1);
-      finish_hit g p mode k
-    end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else
-          Slab.scan_max freq (base + 1) stop base (Array.unsafe_get freq base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k
-    end
-  done;
-  b.Backing.seq <- seq0 + len
-
-let run_plru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
+let run policy (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
   let s = b.Backing.slab in
   let tags = s.Slab.tags in
   let ways = s.Slab.ways in
@@ -468,26 +141,13 @@ let run_plru (b : Backing.t) ~pid ~trace ~pos ~len (mode : Kernel.mode) =
     let seq = seq0 + k + 1 in
     let set = set_of b addr in
     let base = set * ways in
-    let stop = base + ways in
-    let i = Slab.scan_tag tags addr base stop in
+    let i = Slab.scan_tag tags addr base (base + ways) in
     if i >= 0 then begin
-      Array.unsafe_set s.Slab.last_use i seq;
-      Policy.plru_touch s i;
+      touch policy s i seq;
       finish_hit g p mode k
     end
-    else begin
-      let inv = Slab.scan_invalid tags base stop in
-      let way =
-        if inv >= 0 then inv
-        else if Policy.plru_tree_capable ways then
-          base + Policy.plru_walk (Array.unsafe_get s.Slab.tree set) ways 1
-        else
-          let last_use = s.Slab.last_use in
-          Slab.scan_min last_use (base + 1) stop base
-            (Array.unsafe_get last_use base)
-      in
-      finish_miss_fill s way ~pid ~addr ~seq g p mode k;
-      Policy.plru_touch s way
-    end
+    else
+      let way = victim policy b.Backing.rng s set in
+      finish_miss_fill policy s way ~pid ~addr ~seq g p mode k
   done;
   b.Backing.seq <- seq0 + len

@@ -1,7 +1,7 @@
 open Cachesec_stats
 
 (* The CAM index (packed (context, logical index) key -> physical line)
-   lives in [Kernel_newcache.cam] so the monomorphized kernel and this
+   lives in [Kernel_newcache.cam] so the access kernel and this
    generic path share the one table; see that module for the packed-key
    rationale. *)
 type t = { b : Backing.t; cam : Kernel_newcache.cam }
@@ -86,19 +86,11 @@ let flush_all t =
   Backing.flush_all t.b
 
 let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
   let access, run, kernel_name, run_name =
-    match kernel with
-    | Kernel.Generic ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
-    | Kernel.Auto ->
-      ( Kernel_newcache.access t.cam t.b,
-        Kernel_newcache.run t.cam t.b,
-        "newcache",
-        "newcache" )
-    | Kernel.Scalar ->
-      let a = Kernel_newcache.access t.cam t.b in
-      (a, Kernel.run_of_scalar a, "newcache", Kernel.scalar)
+    Kernel.select kernel ~name:"newcache"
+      ~fallback:(access t)
+      ~access:(Kernel_newcache.access t.cam t.b)
+      ~run:(Kernel_newcache.run t.cam t.b)
   in
   {
     Engine.name = Printf.sprintf "newcache-%d-logical" (logical_lines t);

@@ -36,6 +36,6 @@ val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the monomorphized access kernel
+(** [?kernel] (default [Auto]) binds the access kernel
     from {!Kernel_newcache}; [Generic] keeps the fallback. Bit-identical
     either way. *)

@@ -9,7 +9,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?sigma:float ->
   rng:Cachesec_stats.Rng.t ->
   unit ->

@@ -13,7 +13,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   ?reserved:int ->
   protected_pids:int list ->
   rng:Cachesec_stats.Rng.t ->

@@ -1,6 +1,6 @@
-type t = { b : Backing.t; policy : Replacement.policy }
+type t = { b : Backing.t; policy : Policy.t }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg
@@ -8,8 +8,8 @@ let config t = t.b.Backing.cfg
    [Address.set_index]. *)
 let set_of t addr = Backing.set_of t.b addr
 
-(* Generic access path; [Kernel_pl] holds the per-policy monomorphized
-   equivalents (bit-identical, see the differential kernel tests). *)
+(* Generic access path; [Kernel_pl] holds the flattened
+   equivalent (bit-identical, see the differential kernel tests). *)
 let access t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
@@ -102,26 +102,13 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Only the three original policies are monomorphized here; the newer
-   ones run the generic path (Kernel.pick returns None). *)
-let kernels =
-  Kernel.table ~prefix:"pl"
-    [
-      (Policy.Lru, (Kernel_pl.access_lru, Kernel_pl.run_lru));
-      (Policy.Random, (Kernel_pl.access_random, Kernel_pl.run_random));
-      (Policy.Fifo, (Kernel_pl.access_fifo, Kernel_pl.run_fifo));
-    ]
-
 let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
   let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.b, r t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
+    Kernel.select kernel
+      ~name:("pl-" ^ Policy.to_string t.policy)
+      ~fallback:(access t)
+      ~access:(Kernel_pl.access t.policy t.b)
+      ~run:(Kernel_pl.run t.policy t.b)
   in
   {
     Engine.name = Printf.sprintf "pl-%d-way" (config t).Config.ways;

@@ -12,7 +12,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
@@ -41,6 +41,9 @@ val flush_line : t -> pid:int -> int -> bool
 val flush_all : t -> unit
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the per-policy monomorphized access
-    kernel from {!Kernel_pl}; [Generic] keeps the dispatching fallback.
-    Bit-identical either way. *)
+(** [?kernel] (default [Auto]) binds {!Kernel_pl}'s access kernel and its
+    batched twin, which serve every policy; [Scalar] binds the scalar
+    kernel under the scalar-looping run; [Generic] keeps the
+    policy-dispatching fallback (differential-testing oracle). All are
+    bit-identical in state, RNG draws and outcomes; [Engine.t.kernel]
+    is ["pl-<policy>"] or ["generic"]. *)

@@ -1,24 +1,14 @@
 open Cachesec_stats
 
-(* The one place that knows every replacement policy. Engines, kernel
-   selection, the factory, the CLI and the serve protocol all consume
-   this registry, so adding a policy means editing this module (plus an
-   optional monomorphized kernel and a pre-PAS formula) instead of
-   auditing seven match sites. *)
+(* The one place that knows every replacement policy. Engines, the
+   factory, the CLI and the serve protocol all consume this registry, so
+   adding a policy means editing this module (plus one arm per hook in
+   the shared [Kernel_sa] dispatch and an optional pre-PAS formula)
+   instead of auditing seven match sites. *)
 
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
 let all = [ Lru; Random; Fifo; Mru; Lfu; Mfu; Plru ]
-let count = 7
-
-let id = function
-  | Lru -> 0
-  | Random -> 1
-  | Fifo -> 2
-  | Mru -> 3
-  | Lfu -> 4
-  | Mfu -> 5
-  | Plru -> 6
 
 let to_string = function
   | Lru -> "lru"

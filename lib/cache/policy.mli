@@ -1,16 +1,17 @@
-(** Replacement-policy registry.
+(** The replacement-policy registry.
 
     The single authority on which replacement policies exist, how they
     are spelled, which {!Slab} field arrays they read and write, and how
-    they pick victims and react to touches. Engines, monomorphized
-    kernel selection ({!Kernel}), {!Factory}, {!Spec}, the CLI and the
-    serve protocol all dispatch through this module; the legacy
-    {!Replacement} entry points survive only as deprecated wrappers.
+    they pick victims and react to touches. {!t} is the policy type
+    everywhere: engines, {!Spec}, {!Factory}, the CLI and the serve
+    protocol all name it and dispatch through this module.
 
-    Adding a policy is a one-module change: extend {!t}, {!all}, {!id},
-    the spellings, {!needs} and the three dispatch functions here (plus,
-    optionally, a monomorphized kernel in [Kernel_sa] and a pre-PAS
-    formula in [Prepas]). Everything downstream — factory cells, the
+    Adding a policy: extend {!t}, {!all}, the spellings, {!needs}
+    and the three dispatch functions here, then add its arm to the one
+    policy [match] of each kernel hook in [Kernel_sa] ([touch],
+    [victim], the post-fill hook), which the SA, PL and RP kernels all
+    share; optionally a pre-PAS formula in [Prepas]. The compiler points
+    at every arm. Everything downstream — factory cells, the
     differential kernel fuzz, golden traces, `--policy` parsing, serve
     spellings, bench rows — picks it up from {!all}.
 
@@ -33,13 +34,7 @@
 type t = Lru | Random | Fifo | Mru | Lfu | Mfu | Plru
 
 val all : t list
-(** Every policy, in {!id} order. *)
-
-val count : int
-(** [List.length all]; the size of an {!id}-indexed table. *)
-
-val id : t -> int
-(** Dense index in [0, count), the kernel-table key. *)
+(** Every policy, in declaration order. *)
 
 val to_string : t -> string
 val of_string : string -> t option
@@ -83,7 +78,7 @@ val victim_among_in :
 
 (** {2 Per-access state hooks}
 
-    The generic engine paths and the monomorphized kernels thread these
+    The generic engine paths thread these (and the kernels inline them)
     at the same two points: every hit calls {!touch}, every fill is
     followed by {!filled}. *)
 
@@ -101,7 +96,7 @@ val filled : t -> Slab.t -> int -> unit
 
 (** {2 Tree-PLRU internals}
 
-    Exposed for the monomorphized kernels and the unit tests. *)
+    Exposed for the access kernels and the unit tests. *)
 
 val plru_tree_capable : int -> bool
 (** Whether a way count is covered by the tree (power of two, > 1). *)

@@ -2,13 +2,13 @@ open Cachesec_stats
 
 type t = {
   b : Backing.t;
-  policy : Replacement.policy;
+  policy : Policy.t;
   interval : int;
   mutable since_eviction : int;
   mutable random_evictions : int;
 }
 
-let create ?(config = Config.direct_mapped) ?(policy = Replacement.Random)
+let create ?(config = Config.direct_mapped) ?(policy = Policy.Random)
     ?(interval = 10) ~rng () =
   if interval <= 0 then invalid_arg "Re.create: interval must be positive";
   {

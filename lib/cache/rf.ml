@@ -2,12 +2,12 @@ open Cachesec_stats
 
 type t = {
   b : Backing.t;
-  policy : Replacement.policy;
+  policy : Policy.t;
   default_window : int * int;
   windows : (int, int * int) Hashtbl.t;
 }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random)
+let create ?(config = Config.standard) ?(policy = Policy.Random)
     ?(default_window = (0, 0)) ~rng () =
   let back, fwd = default_window in
   if back < 0 || fwd < 0 then invalid_arg "Rf.create: negative window";

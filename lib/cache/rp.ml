@@ -1,12 +1,12 @@
 open Cachesec_stats
 
 (* The per-pid permutation tables (and their single-entry memo) live in
-   [Kernel_rp.map] so the monomorphized kernels and this generic path
+   [Kernel_rp.map] so the access kernels and this generic path
    share one state record — a stale memo in either would silently fork
    the mappings. *)
-type t = { b : Backing.t; policy : Replacement.policy; map : Kernel_rp.map }
+type t = { b : Backing.t; policy : Policy.t; map : Kernel_rp.map }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy; map = Kernel_rp.create_map () }
 
 let config t = t.b.Backing.cfg
@@ -78,26 +78,13 @@ let flush_line t ~pid addr =
 
 let flush_all t = Backing.flush_all t.b
 
-(* Only the three original policies are monomorphized here; the newer
-   ones run the generic path (Kernel.pick returns None). *)
-let kernels =
-  Kernel.table ~prefix:"rp"
-    [
-      (Policy.Lru, (Kernel_rp.access_lru, Kernel_rp.run_lru));
-      (Policy.Random, (Kernel_rp.access_random, Kernel_rp.run_random));
-      (Policy.Fifo, (Kernel_rp.access_fifo, Kernel_rp.run_fifo));
-    ]
-
 let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
   let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.map t.b, r t.map t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.map t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
+    Kernel.select kernel
+      ~name:("rp-" ^ Policy.to_string t.policy)
+      ~fallback:(access t)
+      ~access:(Kernel_rp.access t.map t.policy t.b)
+      ~run:(Kernel_rp.run t.map t.policy t.b)
   in
   {
     Engine.name = Printf.sprintf "rp-%d-way" (config t).Config.ways;

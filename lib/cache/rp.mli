@@ -21,7 +21,7 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
@@ -41,6 +41,9 @@ val set_identity : t -> pid:int -> unit
     of the permutation feature for his own process). *)
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the per-policy monomorphized access
-    kernel from {!Kernel_rp}; [Generic] keeps the dispatching fallback.
-    Bit-identical either way. *)
+(** [?kernel] (default [Auto]) binds {!Kernel_rp}'s access kernel and its
+    batched twin, which serve every policy; [Scalar] binds the scalar
+    kernel under the scalar-looping run; [Generic] keeps the
+    policy-dispatching fallback (differential-testing oracle). All are
+    bit-identical in state, RNG draws and outcomes; [Engine.t.kernel]
+    is ["rp-<policy>"] or ["generic"]. *)

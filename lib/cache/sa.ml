@@ -1,6 +1,6 @@
-type t = { b : Backing.t; policy : Replacement.policy }
+type t = { b : Backing.t; policy : Policy.t }
 
-let create ?(config = Config.standard) ?(policy = Replacement.Random) ~rng () =
+let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg
@@ -11,8 +11,8 @@ let set_of t addr = Backing.set_of t.b addr
 
 (* Generic access path: policy dispatched per access through the
    {!Policy} registry (victim selection on miss, touch hook on hit,
-   filled hook after install). [Kernel_sa] holds the per-policy
-   monomorphized equivalents selected by {!engine}; the two must stay
+   filled hook after install). [Kernel_sa] holds the flattened
+   equivalent selected by {!engine}; the two must stay
    bit-identical (state, RNG draws, outcomes — replayed against each
    other by the differential kernel tests). The hit path allocates
    nothing: tag probe and policy touch are int loops/stores over the
@@ -56,35 +56,17 @@ let flush_line t ~pid addr =
 let flush_all t = Backing.flush_all t.b
 let counters t = t.b.Backing.counters
 
-(* All seven policies are monomorphized for this engine (it is the
-   gated bench row and the hottest path), each as a (scalar access,
-   batched run) twin pair bound together at build time. *)
-let kernels =
-  Kernel.table ~prefix:"sa"
-    [
-      (Policy.Lru, (Kernel_sa.access_lru, Kernel_sa.run_lru));
-      (Policy.Random, (Kernel_sa.access_random, Kernel_sa.run_random));
-      (Policy.Fifo, (Kernel_sa.access_fifo, Kernel_sa.run_fifo));
-      (Policy.Mru, (Kernel_sa.access_mru, Kernel_sa.run_mru));
-      (Policy.Lfu, (Kernel_sa.access_lfu, Kernel_sa.run_lfu));
-      (Policy.Mfu, (Kernel_sa.access_mfu, Kernel_sa.run_mfu));
-      (Policy.Plru, (Kernel_sa.access_plru, Kernel_sa.run_plru));
-    ]
-
 let engine ?(kernel = Kernel.Auto) t =
-  let generic ~pid addr = access t ~pid addr in
   let access, run, kernel_name, run_name =
-    match (kernel, Kernel.pick kernels t.policy) with
-    | Kernel.Auto, Some (name, (a, r)) -> (a t.b, r t.b, name, name)
-    | Kernel.Scalar, Some (name, (a, _)) ->
-      let a = a t.b in
-      (a, Kernel.run_of_scalar a, name, Kernel.scalar)
-    | (Kernel.Auto | Kernel.Scalar), None | Kernel.Generic, _ ->
-      (generic, Kernel.run_of_scalar generic, Kernel.generic, Kernel.generic)
+    Kernel.select kernel
+      ~name:("sa-" ^ Policy.to_string t.policy)
+      ~fallback:(access t)
+      ~access:(Kernel_sa.access t.policy t.b)
+      ~run:(Kernel_sa.run t.policy t.b)
   in
   {
     Engine.name = Printf.sprintf "sa-%d-way-%s" (config t).Config.ways
-        (Replacement.policy_to_string t.policy);
+        (Policy.to_string t.policy);
     config = config t;
     sigma = 0.;
     kernel = kernel_name;

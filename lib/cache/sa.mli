@@ -10,14 +10,14 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?policy:Replacement.policy ->
+  ?policy:Policy.t ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
 (** Defaults: {!Config.standard}, random replacement. *)
 
 val config : t -> Config.t
-val policy : t -> Replacement.policy
+val policy : t -> Policy.t
 val access : t -> pid:int -> int -> Outcome.t
 val peek : t -> pid:int -> int -> bool
 val flush_line : t -> pid:int -> int -> bool
@@ -25,7 +25,9 @@ val flush_all : t -> unit
 val counters : t -> Counters.t
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) selects the access path: [Auto] binds the
-    per-policy monomorphized kernel from {!Kernel_sa}; [Generic] keeps
-    the policy-dispatching fallback (differential-testing oracle). Both
-    are bit-identical in state, RNG draws and outcomes. *)
+(** [?kernel] (default [Auto]) binds {!Kernel_sa}'s access kernel and its
+    batched twin, which serve every policy; [Scalar] binds the scalar
+    kernel under the scalar-looping run; [Generic] keeps the
+    policy-dispatching fallback (differential-testing oracle). All are
+    bit-identical in state, RNG draws and outcomes; [Engine.t.kernel]
+    is ["sa-<policy>"] or ["generic"]. *)

@@ -102,7 +102,7 @@ val clear : t -> int
 (** Invalidate every line in one pass per slab; returns the number of
     valid lines displaced. *)
 
-(* Raw scan loops over bare arrays, for the monomorphized kernels (all
+(* Raw scan loops over bare arrays, for the access kernels (all
    state passed explicitly; [Array.unsafe_get] under the range
    invariant above). *)
 

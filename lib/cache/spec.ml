@@ -1,23 +1,23 @@
 type t =
-  | Sa of { ways : int; policy : Replacement.policy }
-  | Sp of { ways : int; policy : Replacement.policy; partitions : int }
-  | Pl of { ways : int; policy : Replacement.policy }
-  | Nomo of { ways : int; policy : Replacement.policy; reserved : int }
+  | Sa of { ways : int; policy : Policy.t }
+  | Sp of { ways : int; policy : Policy.t; partitions : int }
+  | Pl of { ways : int; policy : Policy.t }
+  | Nomo of { ways : int; policy : Policy.t; reserved : int }
   | Newcache of { extra_bits : int }
-  | Rp of { ways : int; policy : Replacement.policy }
-  | Rf of { ways : int; policy : Replacement.policy; back : int; fwd : int }
-  | Re of { ways : int; policy : Replacement.policy; interval : int }
-  | Noisy of { ways : int; policy : Replacement.policy; sigma : float }
+  | Rp of { ways : int; policy : Policy.t }
+  | Rf of { ways : int; policy : Policy.t; back : int; fwd : int }
+  | Re of { ways : int; policy : Policy.t; interval : int }
+  | Noisy of { ways : int; policy : Policy.t; sigma : float }
 
-let paper_sa = Sa { ways = 8; policy = Replacement.Random }
-let paper_sp = Sp { ways = 8; policy = Replacement.Random; partitions = 2 }
-let paper_pl = Pl { ways = 8; policy = Replacement.Random }
-let paper_nomo = Nomo { ways = 8; policy = Replacement.Random; reserved = 2 }
+let paper_sa = Sa { ways = 8; policy = Policy.Random }
+let paper_sp = Sp { ways = 8; policy = Policy.Random; partitions = 2 }
+let paper_pl = Pl { ways = 8; policy = Policy.Random }
+let paper_nomo = Nomo { ways = 8; policy = Policy.Random; reserved = 2 }
 let paper_newcache = Newcache { extra_bits = 4 }
-let paper_rp = Rp { ways = 8; policy = Replacement.Random }
-let paper_rf = Rf { ways = 8; policy = Replacement.Random; back = 64; fwd = 64 }
-let paper_re = Re { ways = 1; policy = Replacement.Random; interval = 10 }
-let paper_noisy = Noisy { ways = 8; policy = Replacement.Random; sigma = 1.0 }
+let paper_rp = Rp { ways = 8; policy = Policy.Random }
+let paper_rf = Rf { ways = 8; policy = Policy.Random; back = 64; fwd = 64 }
+let paper_re = Re { ways = 1; policy = Policy.Random; interval = 10 }
+let paper_noisy = Noisy { ways = 8; policy = Policy.Random; sigma = 1.0 }
 
 let all_paper =
   [
@@ -83,29 +83,29 @@ let policy_of = function
 let pp ppf t =
   match t with
   | Sa { ways; policy } ->
-    Format.fprintf ppf "SA(%d-way, %s)" ways (Replacement.policy_to_string policy)
+    Format.fprintf ppf "SA(%d-way, %s)" ways (Policy.to_string policy)
   | Sp { ways; policy; partitions } ->
     Format.fprintf ppf "SP(%d-way, %s, %d partitions)" ways
-      (Replacement.policy_to_string policy)
+      (Policy.to_string policy)
       partitions
   | Pl { ways; policy } ->
-    Format.fprintf ppf "PL(%d-way, %s)" ways (Replacement.policy_to_string policy)
+    Format.fprintf ppf "PL(%d-way, %s)" ways (Policy.to_string policy)
   | Nomo { ways; policy; reserved } ->
     Format.fprintf ppf "Nomo(%d-way, %s, %d reserved)" ways
-      (Replacement.policy_to_string policy)
+      (Policy.to_string policy)
       reserved
   | Newcache { extra_bits } -> Format.fprintf ppf "Newcache(k=%d)" extra_bits
   | Rp { ways; policy } ->
-    Format.fprintf ppf "RP(%d-way, %s)" ways (Replacement.policy_to_string policy)
+    Format.fprintf ppf "RP(%d-way, %s)" ways (Policy.to_string policy)
   | Rf { ways; policy; back; fwd } ->
     Format.fprintf ppf "RF(%d-way, %s, window -%d/+%d)" ways
-      (Replacement.policy_to_string policy)
+      (Policy.to_string policy)
       back fwd
   | Re { ways; policy; interval } ->
     Format.fprintf ppf "RE(%d-way, %s, every %d)" ways
-      (Replacement.policy_to_string policy)
+      (Policy.to_string policy)
       interval
   | Noisy { ways; policy; sigma } ->
     Format.fprintf ppf "Noisy(%d-way, %s, sigma=%g)" ways
-      (Replacement.policy_to_string policy)
+      (Policy.to_string policy)
       sigma

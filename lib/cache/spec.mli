@@ -6,16 +6,16 @@
     those. The [paper_*] values reproduce the paper's Table 4. *)
 
 type t =
-  | Sa of { ways : int; policy : Replacement.policy }
-  | Sp of { ways : int; policy : Replacement.policy; partitions : int }
-  | Pl of { ways : int; policy : Replacement.policy }
-  | Nomo of { ways : int; policy : Replacement.policy; reserved : int }
+  | Sa of { ways : int; policy : Policy.t }
+  | Sp of { ways : int; policy : Policy.t; partitions : int }
+  | Pl of { ways : int; policy : Policy.t }
+  | Nomo of { ways : int; policy : Policy.t; reserved : int }
   | Newcache of { extra_bits : int }
-  | Rp of { ways : int; policy : Replacement.policy }
-  | Rf of { ways : int; policy : Replacement.policy; back : int; fwd : int }
+  | Rp of { ways : int; policy : Policy.t }
+  | Rf of { ways : int; policy : Policy.t; back : int; fwd : int }
       (** [back]/[fwd]: the {e victim's} random-fill window *)
-  | Re of { ways : int; policy : Replacement.policy; interval : int }
-  | Noisy of { ways : int; policy : Replacement.policy; sigma : float }
+  | Re of { ways : int; policy : Policy.t; interval : int }
+  | Noisy of { ways : int; policy : Policy.t; sigma : float }
 
 val paper_sa : t  (** 8-way SA, random replacement *)
 
@@ -48,11 +48,11 @@ val display_name : t -> string
 val of_name : string -> t option
 (** Inverse of {!name} over the paper configurations. *)
 
-val with_policy : t -> Replacement.policy -> t
+val with_policy : t -> Policy.t -> t
 (** The same architecture under a different replacement policy. Identity
     on {!Newcache}, whose SecRAND replacement is part of the design. *)
 
-val policy_of : t -> Replacement.policy option
+val policy_of : t -> Policy.t option
 (** The spec's replacement policy; [None] for {!Newcache}. *)
 
 val pp : Format.formatter -> t -> unit

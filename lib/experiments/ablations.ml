@@ -38,7 +38,7 @@ let render_rf_window (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun w ->
-           let spec = Spec.Rf { ways = 8; policy = Replacement.Random; back = w; fwd = w } in
+           let spec = Spec.Rf { ways = 8; policy = Policy.Random; back = w; fwd = w } in
            let pas = Attack_models.pas Attack_type.Cache_collision spec () in
            Driver.map_pending
              (fun (r : Collision.result) ->
@@ -63,7 +63,7 @@ let render_re_interval (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun t ->
-           let spec = Spec.Re { ways = 1; policy = Replacement.Random; interval = t } in
+           let spec = Spec.Re { ways = 1; policy = Policy.Random; interval = t } in
            let pas = Attack_models.pas Attack_type.Cache_collision spec () in
            Driver.map_pending
              (fun (r : Collision.result) ->
@@ -88,7 +88,7 @@ let render_noise_sigma (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun sigma ->
-           let spec = Spec.Noisy { ways = 8; policy = Replacement.Random; sigma } in
+           let spec = Spec.Noisy { ways = 8; policy = Policy.Random; sigma } in
            let pas = Attack_models.pas Attack_type.Evict_and_time spec () in
            let trials_needed =
              if sigma = 0. then 1
@@ -119,7 +119,7 @@ let render_nomo_reserved (ctx : Run.ctx) =
     Driver.await_all
       (List.map
          (fun reserved ->
-           let spec = Spec.Nomo { ways = 8; policy = Replacement.Random; reserved } in
+           let spec = Spec.Nomo { ways = 8; policy = Policy.Random; reserved } in
            let pas = Attack_models.pas Attack_type.Evict_and_time spec () in
            Driver.map_pending
              (fun (r : Evict_time.result) ->
@@ -148,12 +148,12 @@ let render_replacement_policy (ctx : Run.ctx) =
            Driver.map_pending
              (fun (r : Evict_time.result) ->
                [
-                 Replacement.policy_to_string policy;
+                 Policy.to_string policy;
                  string_of_bool r.Evict_time.nibble_recovered;
                  Printf.sprintf "%.2f" r.Evict_time.separation;
                ])
              (submit_evict_time ctx spec 50000))
-         [ Replacement.Lru; Replacement.Random; Replacement.Fifo ])
+         [ Policy.Lru; Policy.Random; Policy.Fifo ])
   in
   "Ablation: replacement policy vs Type 1. With LRU (or FIFO) the\n\
    attacker's w fresh accesses evict the set deterministically, so the\n\

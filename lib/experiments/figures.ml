@@ -38,10 +38,10 @@ let figure4 () =
 
 let figure8_specs =
   [
-    ("SA/RP/RF 8-way", Spec.Sa { ways = 8; policy = Replacement.Random });
-    ("SA/RP/RF 32-way", Spec.Sa { ways = 32; policy = Replacement.Random });
-    ("RE 8-way T=10", Spec.Re { ways = 8; policy = Replacement.Random; interval = 10 });
-    ("Nomo 8-way 1/4", Spec.Nomo { ways = 8; policy = Replacement.Random; reserved = 2 });
+    ("SA/RP/RF 8-way", Spec.Sa { ways = 8; policy = Policy.Random });
+    ("SA/RP/RF 32-way", Spec.Sa { ways = 32; policy = Policy.Random });
+    ("RE 8-way T=10", Spec.Re { ways = 8; policy = Policy.Random; interval = 10 });
+    ("Nomo 8-way 1/4", Spec.Nomo { ways = 8; policy = Policy.Random; reserved = 2 });
     ("Newcache", Spec.paper_newcache);
     ("SP / PL (locked)", Spec.paper_sp);
   ]
@@ -57,7 +57,7 @@ let figure8 ?policy () =
       ( List.map
           (fun (name, spec) -> (name, Spec.with_policy spec p))
           figure8_specs,
-        Replacement.policy_to_string p ^ " replacement" )
+        Policy.to_string p ^ " replacement" )
   in
   let series =
     List.map
@@ -186,7 +186,7 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
       Spec.paper_newcache;
       Spec.paper_rp;
       Spec.paper_rf;
-      Spec.Re { ways = 8; policy = Replacement.Random; interval = 10 };
+      Spec.Re { ways = 8; policy = Policy.Random; interval = 10 };
     ]
   in
   let headers = "Cache" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks in

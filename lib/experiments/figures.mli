@@ -26,7 +26,7 @@ val scale_of : Run.ctx -> scale
 val figure4 : unit -> string
 (** p5 (attacker's per-observation success probability) vs noise sigma. *)
 
-val figure8 : ?policy:Cachesec_cache.Replacement.policy -> unit -> string
+val figure8 : ?policy:Cachesec_cache.Policy.t -> unit -> string
 (** Analytical pre-PAS vs attacker accesses k for the paper's cache
     set: 8/32-way SA-RP-RF, RE, Nomo, Newcache, SP/PL. Default policy
     is the paper's random replacement; [policy] rebinds every spec via

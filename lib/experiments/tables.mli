@@ -23,7 +23,7 @@ val table6_alt_geometry : unit -> string
 val policy_resilience :
   ?threshold:float ->
   ?specs:Cachesec_cache.Spec.t list ->
-  ?policies:Cachesec_cache.Replacement.policy list ->
+  ?policies:Cachesec_cache.Policy.t list ->
   unit ->
   string
 (** The policy x attack x architecture refinement of Table 7

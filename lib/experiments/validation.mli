@@ -51,7 +51,7 @@ val submit_cell :
 
 val cells :
   ?pipeline:bool ->
-  ?policy:Cachesec_cache.Replacement.policy ->
+  ?policy:Cachesec_cache.Policy.t ->
   ?adaptive:adaptive ->
   Run.ctx ->
   cell list

@@ -4,7 +4,7 @@ open Cachesec_analysis
 
 (* --- canonical keys --------------------------------------------------- *)
 
-let policy_key p = Ckey.string (Replacement.policy_to_string p)
+let policy_key p = Ckey.string (Policy.to_string p)
 
 (* One tag per Spec constructor, every field encoded — including the
    ones the paper pins to defaults, so a future default change cannot

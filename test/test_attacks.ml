@@ -531,7 +531,7 @@ let test_cleaner_sa_matches_closed_form () =
   Alcotest.(check (float 0.05)) "SA matches coupon collector" cf mc
 
 let test_cleaner_lru_step () =
-  let spec = Spec.Sa { ways = 8; policy = Replacement.Lru } in
+  let spec = Spec.Sa { ways = 8; policy = Policy.Lru } in
   Alcotest.(check (float 0.)) "k=7 fails" 0.
     (Cleaner.monte_carlo spec ~accesses:7 ~samples:50 ~rng:(rng ()));
   Alcotest.(check (float 0.)) "k=8 succeeds" 1.
@@ -546,8 +546,8 @@ let test_cleaner_newcache_rate () =
   Alcotest.(check (float 0.03)) "newcache line eviction rate" cf mc
 
 let test_cleaner_re_free_lunch () =
-  let sa = Spec.Sa { ways = 8; policy = Replacement.Lru } in
-  let re = Spec.Re { ways = 8; policy = Replacement.Lru; interval = 2 } in
+  let sa = Spec.Sa { ways = 8; policy = Policy.Lru } in
+  let re = Spec.Re { ways = 8; policy = Policy.Lru; interval = 2 } in
   (* With LRU and interval 2, k=6 gives 6+3 = 9 >= 8 effective evictions
      sometimes; in the simulator the free lunches land anywhere, so just
      check RE >= SA at the LRU boundary. *)

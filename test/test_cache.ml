@@ -1,10 +1,6 @@
 (* Tests for the cache simulator substrate: geometry, policies and the
    architecture-specific security mechanisms of all nine caches. *)
 
-(* This file deliberately exercises the deprecated [Replacement.choose]
-   compatibility shims alongside the [Policy] registry they forward to. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_cache
 
@@ -44,7 +40,7 @@ let prop_address_roundtrip =
       let c = Config.standard in
       (Address.tag c line * Config.sets c) + Address.set_index c line = line)
 
-(* --- Line / Replacement ---------------------------------------------- *)
+(* --- Line / replacement ----------------------------------------------- *)
 
 let test_line () =
   let l = Line.make () in
@@ -62,88 +58,6 @@ let test_line () =
   Line.invalidate l;
   Alcotest.(check bool) "invalidated" false l.Line.valid
 
-let filled_lines n =
-  let lines = Line.make_array n in
-  Array.iteri (fun i l -> Line.fill l ~tag:i ~owner:0 ~seq:(i + 1)) lines;
-  lines
-
-let test_replacement_invalid_first () =
-  let lines = filled_lines 4 in
-  Line.invalidate lines.(2);
-  let r = rng () in
-  List.iter
-    (fun policy ->
-      Alcotest.(check int)
-        (Replacement.policy_to_string policy ^ " picks invalid")
-        2
-        (Replacement.choose policy r lines ~base:0 ~len:4))
-    [ Replacement.Lru; Replacement.Random; Replacement.Fifo ]
-
-let test_replacement_lru () =
-  let lines = filled_lines 4 in
-  Line.touch lines.(0) ~seq:100;
-  Alcotest.(check int) "least recent" 1
-    (Replacement.lru_victim lines ~base:0 ~len:4);
-  Alcotest.(check int) "restricted range" 2
-    (Replacement.lru_victim lines ~base:2 ~len:2)
-
-let test_replacement_fifo () =
-  let lines = filled_lines 4 in
-  Line.touch lines.(0) ~seq:100;
-  (* FIFO ignores touches: oldest fill wins. *)
-  let r = rng () in
-  Alcotest.(check int) "oldest fill" 0
-    (Replacement.choose Replacement.Fifo r lines ~base:0 ~len:4)
-
-let test_replacement_random_uniform () =
-  let lines = filled_lines 8 in
-  let r = rng () in
-  let counts = Array.make 8 0 in
-  for _ = 1 to 8000 do
-    let v = Replacement.choose Replacement.Random r lines ~base:0 ~len:8 in
-    counts.(v) <- counts.(v) + 1
-  done;
-  Array.iter
-    (fun c ->
-      Alcotest.(check bool) "roughly uniform" true (c > 800 && c < 1200))
-    counts
-
-(* choose / choose_among agree: on a contiguous range they are the same
-   selector (including the single RNG draw of the Random policy). *)
-let test_replacement_range_list_agree () =
-  let lines = filled_lines 8 in
-  Line.touch lines.(3) ~seq:50;
-  List.iter
-    (fun policy ->
-      let r1 = Rng.create ~seed:77 and r2 = Rng.create ~seed:77 in
-      for _ = 1 to 200 do
-        Alcotest.(check int)
-          (Replacement.policy_to_string policy ^ " range = list")
-          (Replacement.choose_among policy r1 lines
-             ~candidates:[ 2; 3; 4; 5; 6 ])
-          (Replacement.choose policy r2 lines ~base:2 ~len:5)
-      done)
-    [ Replacement.Lru; Replacement.Random; Replacement.Fifo ]
-
-let test_replacement_errors () =
-  let lines = filled_lines 2 in
-  let r = rng () in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Replacement.choose: no candidates") (fun () ->
-      ignore (Replacement.choose Replacement.Lru r lines ~base:0 ~len:0));
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Replacement.choose: candidate out of range") (fun () ->
-      ignore (Replacement.choose Replacement.Lru r lines ~base:1 ~len:2));
-  Alcotest.check_raises "empty list"
-    (Invalid_argument "Replacement.choose: no candidates") (fun () ->
-      ignore (Replacement.choose_among Replacement.Lru r lines ~candidates:[]));
-  Alcotest.check_raises "list out of range"
-    (Invalid_argument "Replacement.choose: candidate out of range") (fun () ->
-      ignore
-        (Replacement.choose_among Replacement.Lru r lines ~candidates:[ 5 ]))
-
-(* --- Policy registry ----------------------------------------------------- *)
-
 let filled_slab ~lines ~ways =
   let s = Slab.create ~lines ~ways in
   for i = 0 to lines - 1 do
@@ -151,15 +65,76 @@ let filled_slab ~lines ~ways =
   done;
   s
 
+(* Victim selection on sub-ranges and explicit candidate lists; the
+   whole-set semantics of each policy are pinned by the Policy registry
+   suite below. *)
+
+let test_replacement_invalid_first () =
+  let s = filled_slab ~lines:8 ~ways:8 in
+  Slab.invalidate s 3;
+  Slab.invalidate s 5;
+  let r = rng () in
+  List.iter
+    (fun p ->
+      Alcotest.(check int)
+        (Policy.to_string p ^ " range picks its invalid line")
+        5
+        (Policy.victim_in p r s ~base:4 ~len:4);
+      Alcotest.(check int)
+        (Policy.to_string p ^ " list picks the first invalid in list order")
+        5
+        (Policy.victim_among_in p r s ~candidates:[ 6; 5; 3 ]))
+    Policy.all
+
+let test_replacement_lru () =
+  let s = filled_slab ~lines:4 ~ways:4 in
+  Slab.touch s 0 ~seq:100;
+  let r = rng () in
+  Alcotest.(check int) "least recent" 1
+    (Policy.victim_in Policy.Lru r s ~base:0 ~len:4);
+  Alcotest.(check int) "restricted range" 2
+    (Policy.victim_in Policy.Lru r s ~base:2 ~len:2)
+
+let test_replacement_random_uniform () =
+  let s = filled_slab ~lines:16 ~ways:16 in
+  let r = rng () in
+  let counts = Array.make 16 0 in
+  for _ = 1 to 8000 do
+    let v = Policy.victim_in Policy.Random r s ~base:4 ~len:8 in
+    counts.(v) <- counts.(v) + 1
+  done;
+  Array.iteri
+    (fun i c ->
+      if i < 4 || i >= 12 then
+        Alcotest.(check int) "never outside the range" 0 c
+      else Alcotest.(check bool) "roughly uniform" true (c > 800 && c < 1200))
+    counts
+
+(* victim_in / victim_among_in agree: on a contiguous range they are the
+   same selector (including the single RNG draw of the Random policy). *)
+let test_replacement_range_list_agree () =
+  let s = filled_slab ~lines:8 ~ways:8 in
+  Slab.touch s 3 ~seq:50;
+  Policy.touch Policy.Lfu s 4 ~seq:51;
+  List.iter
+    (fun p ->
+      let r1 = Rng.create ~seed:77 and r2 = Rng.create ~seed:77 in
+      for _ = 1 to 200 do
+        Alcotest.(check int)
+          (Policy.to_string p ^ " range = list")
+          (Policy.victim_among_in p r1 s ~candidates:[ 2; 3; 4; 5; 6 ])
+          (Policy.victim_in p r2 s ~base:2 ~len:5)
+      done)
+    Policy.all
+
+(* --- Policy registry ----------------------------------------------------- *)
+
 let test_policy_registry () =
-  Alcotest.(check int) "seven policies" 7 Policy.count;
+  Alcotest.(check int) "seven policies" 7 (List.length Policy.all);
   Alcotest.(check int) "all lists each once" 7
     (List.length (List.sort_uniq compare Policy.all));
-  List.iteri
-    (fun i p ->
-      Alcotest.(check int)
-        (Policy.to_string p ^ " id is registry position")
-        i (Policy.id p);
+  List.iter
+    (fun p ->
       Alcotest.(check bool)
         (Policy.to_string p ^ " round-trips")
         true
@@ -167,10 +142,7 @@ let test_policy_registry () =
     Policy.all;
   Alcotest.(check bool) "unknown spelling" true (Policy.of_string "mlu" = None);
   Alcotest.(check string) "names joins the registry"
-    "lru|random|fifo|mru|lfu|mfu|plru" Policy.names;
-  (* The compat alias and the registry are the same type and spelling. *)
-  Alcotest.(check string) "replacement alias agrees" "plru"
-    (Replacement.policy_to_string Replacement.Plru)
+    "lru|random|fifo|mru|lfu|mfu|plru" Policy.names
 
 let test_policy_needs () =
   let n = Policy.needs in
@@ -254,7 +226,11 @@ let test_policy_errors () =
       ignore (Policy.victim_in Policy.Lru r s ~base:2 ~len:4));
   Alcotest.check_raises "empty list"
     (Invalid_argument "Policy.victim_among_in: no candidates") (fun () ->
-      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[]))
+      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[]));
+  Alcotest.check_raises "list out of range"
+    (Invalid_argument "Policy.victim_among_in: candidate out of range")
+    (fun () ->
+      ignore (Policy.victim_among_in Policy.Lru r s ~candidates:[ 5 ]))
 
 (* --- Counters ---------------------------------------------------------- *)
 
@@ -329,7 +305,7 @@ let test_sa_flush () =
 
 let test_sa_lru_exact () =
   let config = Config.v ~line_bytes:64 ~lines:8 ~ways:2 in
-  let sa = Sa.create ~config ~policy:Replacement.Lru ~rng:(rng ()) () in
+  let sa = Sa.create ~config ~policy:Policy.Lru ~rng:(rng ()) () in
   (* Set 0 of 4 sets: lines 0, 4, 8 map there. *)
   ignore (Sa.access sa ~pid:0 0);
   ignore (Sa.access sa ~pid:0 4);
@@ -816,11 +792,9 @@ let () =
           Alcotest.test_case "line state" `Quick test_line;
           Alcotest.test_case "invalid first" `Quick test_replacement_invalid_first;
           Alcotest.test_case "lru" `Quick test_replacement_lru;
-          Alcotest.test_case "fifo" `Quick test_replacement_fifo;
           Alcotest.test_case "random uniform" `Quick test_replacement_random_uniform;
           Alcotest.test_case "range/list agree" `Quick
             test_replacement_range_list_agree;
-          Alcotest.test_case "errors" `Quick test_replacement_errors;
         ] );
       ( "policy registry",
         [

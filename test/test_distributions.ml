@@ -47,7 +47,7 @@ let test_chi2_accepts_uniform () =
   done;
   check_uniform "rng uniform" counts
 
-(* --- Replacement randomness ------------------------------------------------ *)
+(* --- replacement randomness ------------------------------------------------ *)
 
 let test_sa_replacement_uniform () =
   (* Which victim line does an attacker access evict from a full set? *)

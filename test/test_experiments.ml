@@ -146,7 +146,7 @@ let test_ablation_rf_window_analytics () =
   List.iter
     (fun w ->
       let spec =
-        Spec.Rf { ways = 8; policy = Replacement.Random; back = w; fwd = w }
+        Spec.Rf { ways = 8; policy = Policy.Random; back = w; fwd = w }
       in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "w=%d" w)

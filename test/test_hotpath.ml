@@ -8,10 +8,10 @@
    Any divergence means the "performance" change altered simulated
    behaviour and must be rejected.
 
-   The allocation guard additionally pins the SA/LRU hit path to
-   (essentially) zero minor-heap words per access: a warm cache is
-   hammered with hits and the [Gc.minor_words] delta is asserted to be
-   far below one word per access. *)
+   The allocation guard additionally pins hit paths to (essentially)
+   zero minor-heap words per access and miss paths to a small bounded
+   amount, on the generic path and on the scalar and batched kernels
+   of SA, PL and RP cells. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -40,115 +40,100 @@ let test_golden_traces () =
 
 (* --- allocation guard ------------------------------------------------- *)
 
-let test_sa_lru_hit_path_allocation_free () =
-  let rng = Rng.create ~seed:42 in
-  let sa = Sa.create ~config:Config.standard ~policy:Replacement.Lru ~rng () in
-  let sets = Config.sets (Sa.config sa) in
-  (* Warm: make lines 0 .. sets-1 resident (one per set, way 0). *)
-  for addr = 0 to sets - 1 do
-    ignore (Sa.access sa ~pid:0 addr)
-  done;
-  (* Hammer hits; every access must return the preallocated
-     [Outcome.hit] and allocate nothing on the minor heap. *)
-  let iters = 100_000 in
-  let before = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 (i mod sets))
-  done;
-  let after = Gc.minor_words () in
-  (* Each [Gc.minor_words] call itself boxes a float (2-3 words); allow
-     a small constant slack but nothing proportional to [iters]. *)
-  let delta = after -. before in
-  if delta > 64. then
-    Alcotest.failf "SA/LRU hit path allocated %.0f minor words over %d hits"
-      delta iters
+(* The paths of one (arch, policy) cell, sharing one state: the generic
+   policy-dispatching [access], then the [Auto] engine — its scalar
+   kernel and its batched [access_run] in [Fill] mode, driven one access
+   per run. *)
+let paths arch policy ~seed : (pid:int -> int -> Outcome.t) list =
+  let rng = Rng.create ~seed in
+  let config = Config.standard in
+  let generic, engine =
+    match arch with
+    | `Sa ->
+      let c = Sa.create ~config ~policy ~rng () in
+      (Sa.access c, Sa.engine c)
+    | `Pl ->
+      let c = Pl.create ~config ~policy ~rng () in
+      (Pl.access c, Pl.engine c)
+    | `Rp ->
+      let c = Rp.create ~config ~policy ~rng () in
+      (Rp.access c, Rp.engine c)
+  in
+  let trace = [| 0 |] in
+  [
+    generic;
+    engine.Engine.access;
+    (fun ~pid addr ->
+      trace.(0) <- addr;
+      engine.Engine.access_run ~pid ~trace ~pos:0 ~len:1 Kernel.Fill;
+      Outcome.hit);
+  ]
 
-let test_sa_random_miss_path_allocation_lean () =
-  (* Misses allocate the outcome record and its [Some] payloads - a
-     small bounded amount, not O(ways) scan lists as before. Budget:
-     well under 20 words per access. *)
-  let rng = Rng.create ~seed:43 in
-  let sa = Sa.create ~config:Config.standard ~policy:Replacement.Random ~rng () in
-  let iters = 50_000 in
-  (* Distinct tags per set so every access misses and evicts. *)
-  let before = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
-  done;
-  let after = Gc.minor_words () in
-  let per_access = (after -. before) /. float_of_int iters in
-  if per_access > 20. then
-    Alcotest.failf "SA/Random miss path allocates %.1f minor words/access"
-      per_access
+(* A warm cache hammered with hits must return the preallocated
+   [Outcome.hit] and allocate nothing on the minor heap. *)
+let hit_path_allocation_free name arch policy ~seed () =
+  let sets = Config.sets Config.standard in
+  List.iter
+    (fun access ->
+      (* Warm: make lines 0 .. sets-1 resident (one per set). *)
+      for addr = 0 to sets - 1 do
+        ignore (access ~pid:0 addr)
+      done;
+      let iters = 100_000 in
+      let before = Gc.minor_words () in
+      for i = 0 to iters - 1 do
+        ignore (access ~pid:0 (i mod sets))
+      done;
+      let after = Gc.minor_words () in
+      (* Each [Gc.minor_words] call itself boxes a float (2-3 words);
+         allow a small constant slack but nothing proportional to
+         [iters]. *)
+      let delta = after -. before in
+      if delta > 64. then
+        Alcotest.failf "%s hit path allocated %.0f minor words over %d hits"
+          name delta iters)
+    (paths arch policy ~seed)
 
-let test_sa_plru_hit_path_allocation_free () =
-  (* PLRU hits run [Policy.plru_touch] — an int-array read-modify-write
-     walking the tree word — on top of the [last_use] store. Must stay
-     off the minor heap like the LRU hit path. *)
-  let rng = Rng.create ~seed:44 in
-  let sa = Sa.create ~config:Config.standard ~policy:Replacement.Plru ~rng () in
-  let sets = Config.sets (Sa.config sa) in
-  for addr = 0 to sets - 1 do
-    ignore (Sa.access sa ~pid:0 addr)
-  done;
-  let iters = 100_000 in
-  let before = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 (i mod sets))
-  done;
-  let after = Gc.minor_words () in
-  let delta = after -. before in
-  if delta > 64. then
-    Alcotest.failf "SA/PLRU hit path allocated %.0f minor words over %d hits"
-      delta iters
-
-let test_sa_lfu_miss_path_allocation_lean () =
-  (* LFU misses run the contiguous min-frequency scan; like the random
-     miss path, only the outcome record itself may allocate. *)
-  let rng = Rng.create ~seed:45 in
-  let sa = Sa.create ~config:Config.standard ~policy:Replacement.Lfu ~rng () in
-  let iters = 50_000 in
-  let before = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
-  done;
-  let after = Gc.minor_words () in
-  let per_access = (after -. before) /. float_of_int iters in
-  if per_access > 20. then
-    Alcotest.failf "SA/LFU miss path allocates %.1f minor words/access"
-      per_access
-
-let test_sa_mru_miss_path_allocation_lean () =
-  (* MRU misses run the max-last-use scan ([Slab.scan_max]). *)
-  let rng = Rng.create ~seed:46 in
-  let sa = Sa.create ~config:Config.standard ~policy:Replacement.Mru ~rng () in
-  let iters = 50_000 in
-  let before = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    ignore (Sa.access sa ~pid:0 i)
-  done;
-  let after = Gc.minor_words () in
-  let per_access = (after -. before) /. float_of_int iters in
-  if per_access > 20. then
-    Alcotest.failf "SA/MRU miss path allocates %.1f minor words/access"
-      per_access
+(* Misses allocate the outcome record and its [Some] payloads - a small
+   bounded amount, not O(ways) scan lists. Budget: well under 20 words
+   per access. Distinct tags per set so every access misses and evicts
+   (random, mru, mfu: scans over [last_use]/[freq] or one RNG draw). *)
+let miss_path_allocation_lean name arch policy ~seed () =
+  List.iter
+    (fun access ->
+      let iters = 50_000 in
+      let before = Gc.minor_words () in
+      for i = 0 to iters - 1 do
+        ignore (access ~pid:0 i)
+      done;
+      let after = Gc.minor_words () in
+      let per_access = (after -. before) /. float_of_int iters in
+      if per_access > 20. then
+        Alcotest.failf "%s miss path allocates %.1f minor words/access" name
+          per_access)
+    (paths arch policy ~seed)
 
 let () =
+  let hit name arch policy ~seed =
+    Alcotest.test_case (name ^ " hit path zero-alloc") `Quick
+      (hit_path_allocation_free name arch policy ~seed)
+  and miss name arch policy ~seed =
+    Alcotest.test_case (name ^ " miss path lean") `Quick
+      (miss_path_allocation_lean name arch policy ~seed)
+  in
   Alcotest.run "hotpath"
     [
       ( "golden-trace",
         [ Alcotest.test_case "all engines bit-identical" `Quick test_golden_traces ] );
       ( "allocation",
         [
-          Alcotest.test_case "sa/lru hit path zero-alloc" `Quick
-            test_sa_lru_hit_path_allocation_free;
-          Alcotest.test_case "sa/random miss path lean" `Quick
-            test_sa_random_miss_path_allocation_lean;
-          Alcotest.test_case "sa/plru hit path zero-alloc" `Quick
-            test_sa_plru_hit_path_allocation_free;
-          Alcotest.test_case "sa/lfu miss path lean" `Quick
-            test_sa_lfu_miss_path_allocation_lean;
-          Alcotest.test_case "sa/mru miss path lean" `Quick
-            test_sa_mru_miss_path_allocation_lean;
+          hit "sa/lru" `Sa Policy.Lru ~seed:42;
+          miss "sa/random" `Sa Policy.Random ~seed:43;
+          hit "sa/plru" `Sa Policy.Plru ~seed:44;
+          miss "sa/lfu" `Sa Policy.Lfu ~seed:45;
+          miss "sa/mru" `Sa Policy.Mru ~seed:46;
+          hit "pl/plru" `Pl Policy.Plru ~seed:47;
+          hit "rp/lfu" `Rp Policy.Lfu ~seed:48;
+          miss "pl/mfu" `Pl Policy.Mfu ~seed:49;
         ] );
     ]

@@ -1,8 +1,9 @@
-(* Differential fuzz: monomorphized kernels vs the generic fallback.
+(* Differential fuzz: access kernels vs the generic fallback.
 
-   The monomorphized per-(arch, policy) access kernels under
-   lib/cache/kernels/ must be bit-identical to the generic dispatching
-   path they replace — same per-op outcomes (including eviction
+   The access kernels under lib/cache/kernels/ (one scalar/batched pair
+   per architecture for SA, PL, RP and Newcache, dispatching on the
+   policy inside the loop) must be bit-identical to the generic
+   dispatching path they replace — same per-op outcomes (including eviction
    payloads), same RNG draw order, same counters, same final line dump.
    The hotpath golden suite pins both against ONE frozen workload; this
    suite hammers the equivalence with RANDOM workloads (mixed pids,
@@ -11,10 +12,12 @@
 
    Every factory cell is built twice from identical derived seeds —
    [Factory.build ~kernel:Generic] vs [~kernel:Auto] — and replayed
-   through the same op stream. Cells without a monomorphized kernel
-   (sp, nomo, rf, re) run both arms through the same generic code by
-   construction; they stay in the matrix so the cell list never needs
-   editing when a kernel is added for them.
+   through the same op stream. Every sa/pl/rp x policy cell and
+   Newcache run a kernel under [Auto] (the selection guard below pins
+   it, so neither suite can turn vacuous by a silent fallback). Cells
+   without a kernel (sp, nomo, rf, re) run both arms through the same
+   generic code by construction; they stay in the matrix so the cell
+   list never needs editing when a kernel is added for them.
 
    A second QCheck suite fuzzes the batched [access_run] twins against
    the scalar-looping generic fallback in all three accumulation modes
@@ -29,7 +32,7 @@ let scenario = { Factory.victim_pid = 0; victim_lines = [ (0, 200) ] }
 
 let case_name spec =
   match Spec.policy_of spec with
-  | Some p -> Spec.name spec ^ ":" ^ Replacement.policy_to_string p
+  | Some p -> Spec.name spec ^ ":" ^ Policy.to_string p
   | None -> Spec.name spec ^ ":secrand"
 
 (* All 57 factory cells: 8 policied architectures x the full policy
@@ -135,28 +138,19 @@ let steps = 4_000
 let test_cell spec () =
   List.iter (fun seed -> check_cell ~seed ~steps spec) seeds
 
-(* The monomorphized cells must actually exercise a kernel — guard
+(* The kernel cells must actually exercise a kernel — guard
    against a silent fallback to generic making the diff test vacuous. *)
 let expected_kernel spec =
   let policy_suffix () =
     match Spec.policy_of spec with
-    | Some p -> Replacement.policy_to_string p
+    | Some p -> Policy.to_string p
     | None -> assert false
   in
-  (* pl/rp carry kernels only for the original three policies; the new
-     registry entries fall back to the generic path there. *)
-  let original_three () =
-    match Spec.policy_of spec with
-    | Some (Replacement.Lru | Replacement.Random | Replacement.Fifo) -> true
-    | _ -> false
-  in
   match Spec.name spec with
-  | "sa" -> Some ("sa-" ^ policy_suffix ())
-  | "pl" when original_three () -> Some ("pl-" ^ policy_suffix ())
-  | "rp" when original_three () -> Some ("rp-" ^ policy_suffix ())
+  | ("sa" | "pl" | "rp") as arch -> Some (arch ^ "-" ^ policy_suffix ())
   | "newcache" -> Some "newcache"
   | "noisy" -> Some ("sa-" ^ policy_suffix ())
-  | _ -> None (* generic-only (arch, policy) cells *)
+  | _ -> None (* generic-only architectures *)
 
 let test_kernel_selection () =
   List.iter
@@ -184,7 +178,7 @@ let test_kernel_selection () =
            un-batching the attack hot paths. *)
         Alcotest.(check string) (case_name spec ^ " auto run kernel") k
           auto.Engine.run_kernel;
-        (* [Scalar] = monomorphized per-access kernel looped by the
+        (* [Scalar] = the scalar kernel looped by the
            generic run wrapper: the bench's pre-batching cost model. *)
         Alcotest.(check string) (case_name spec ^ " scalar kernel") k
           scalar.Engine.kernel;
@@ -202,9 +196,9 @@ let test_kernel_selection () =
 
 (* --- batched-replay differential fuzz ------------------------------- *)
 
-(* [access_run] under [Auto] (the batched per-(arch, policy) run
-   kernels) vs under [Generic] ([run_of_scalar] looping the generic
-   scalar access — the differential oracle), hammered with seed-derived
+(* [access_run] under [Auto] (the batched run kernels) vs under
+   [Generic] ([run_of_scalar] looping the generic scalar access — the
+   differential oracle), hammered with seed-derived
    random programs of batched runs in all three modes interleaved with
    exactly the scalar ops a run must straddle: lock/unlock, RF window
    rotation, line flushes, full flushes. Observables per program: every

@@ -35,7 +35,7 @@ let sample_queries : Protocol.query list =
       };
     Pas
       {
-        spec = Spec.Noisy { ways = 4; policy = Replacement.Lru; sigma = 0.1 +. 0.2 };
+        spec = Spec.Noisy { ways = 4; policy = Policy.Lru; sigma = 0.1 +. 0.2 };
         config = Config.v ~line_bytes:32 ~lines:1024 ~ways:4;
         attack = Attack_type.Evict_and_time;
         cold = true;
@@ -127,7 +127,7 @@ let test_encode_ways_mismatch () =
   let q : Protocol.query =
     Pas
       {
-        spec = Spec.Sa { ways = 8; policy = Replacement.Lru };
+        spec = Spec.Sa { ways = 8; policy = Policy.Lru };
         config = Config.v ~line_bytes:64 ~lines:512 ~ways:4;
         attack = Attack_type.Prime_and_probe;
         cold = false;
@@ -261,7 +261,7 @@ let test_key_policy_injective =
     QCheck.(
       triple
         (int_bound (List.length policied_specs - 1))
-        (int_bound (Policy.count - 1))
+        (int_bound (List.length Policy.all - 1))
         (int_bound (List.length Attack_type.all - 1)))
   in
   qtest ~count:400 "ckey injective over (arch, policy, attack)"
