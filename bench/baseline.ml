@@ -22,7 +22,8 @@
    The e2e section records the sequential-vs-pipelined campaign
    wall-clocks (quick scale) of the host it runs on — including its
    core count, so a later reader can judge what the numbers could
-   demonstrate.
+   demonstrate — and the fixed/adaptive arm rows of the adaptive
+   bench, in the same file.
 
    A bare positional PATH is kept as an alias for --cache-out PATH
    (the pre-attack-bench CLI). *)
@@ -47,8 +48,12 @@ let run_e2e ctx ~out =
      [cores] field). *)
   let ctx = Cachesec_runtime.Run.with_jobs 0 ctx in
   let entries = Throughput.E2e.bench ctx in
-  Throughput.E2e.write ~path:out entries;
+  (* Both row kinds, as bench/main.exe writes results/BENCH_e2e.json:
+     the adaptive rows feed Adaptive.render's vs-base column. *)
+  let adaptive = Throughput.Adaptive.bench ctx in
+  Throughput.E2e.write ~adaptive ~path:out entries;
   print_string (Throughput.E2e.render entries);
+  print_string (Throughput.Adaptive.render adaptive);
   Printf.printf "e2e baseline written to %s\n%!" out
 
 (* THE sections table: name, default output file, --NAME-out flag,

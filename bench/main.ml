@@ -39,6 +39,13 @@ let section (ctx : Run.ctx) title body =
     (if t.Scheduler.span_id = 0 then ""
      else Printf.sprintf ", telemetry span %d" t.Scheduler.span_id)
 
+(* The closing line of a bench section: where its JSON went and which
+   telemetry span it cross-references. *)
+let wrote what (t : Scheduler.timed) =
+  Printf.sprintf "  wrote %s%s\n" what
+    (if t.Scheduler.span_id = 0 then ""
+     else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id)
+
 (* mkdir -p for every export target, once, before any writer runs. *)
 let ensure_results_dirs () =
   let mkdir_p path =
@@ -408,8 +415,8 @@ let main perf sim (ctx : Run.ctx) =
        ^ run Cachesec_cache.Spec.paper_newcache 1000)
   end;
   (* Always runs (even under --no-sim / --no-perf): this is the perf
-     regression gate. Writes results/BENCH_cache.json in a frozen format
-     directly comparable across checkouts; the committed
+     regression gate. Writes results/BENCH_cache.json, row by row
+     comparable across checkouts; the committed
      bench/BENCH_cache.baseline.json holds the pre-optimization numbers.
      The benchmark proper is timed through Scheduler.timed so its
      telemetry span id can be embedded in the JSON, cross-referencing
@@ -424,30 +431,14 @@ let main perf sim (ctx : Run.ctx) =
       ensure_results_dirs ();
       Throughput.write ~span_id:t.Scheduler.span_id
         ~path:"results/BENCH_cache.json" entries;
-      (* Hard engine gate: sa/lru accesses/sec against the FROZEN seed
-         numbers (bench/BENCH_cache.seed.json — the pre-slab, pre-kernel
-         engine, never re-recorded), unlike the re-recordable
-         BENCH_cache.baseline.json behind the vs-base column. sa/lru is
-         the gated row because it is the paper's conventional-cache
-         reference point and the hottest monomorphized kernel. *)
-      let gate_line =
-        let seed = Throughput.read ~path:"bench/BENCH_cache.seed.json" in
-        match
-          ( Throughput.find entries ~arch:"sa" ~policy:"lru",
-            Throughput.find seed ~arch:"sa" ~policy:"lru" )
-        with
-        | Some e, Some b when b.Throughput.per_sec > 0. ->
-          let x = e.Throughput.per_sec /. b.Throughput.per_sec in
-          Printf.sprintf "  gate bench_cache  sa/lru speedup %5.2fx %s\n" x
-            (if x >= 2.5 then ">= 2.50x PASS" else "<  2.50x FAIL")
-        | _ -> "  gate bench_cache  no seed baseline row for sa/lru\n"
-      in
+      (* Hard engine gate against the FROZEN seed numbers
+         (bench/BENCH_cache.seed.json, never re-recorded), unlike the
+         re-recordable BENCH_cache.baseline.json behind the vs-base
+         column. *)
       Throughput.render ~baseline:"bench/BENCH_cache.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_cache.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else
-             Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+      ^ Throughput.Gate.line
+          (Throughput.gate ~baseline:"bench/BENCH_cache.seed.json" entries)
+      ^ wrote "results/BENCH_cache.json" t);
   (* Companion perf gate for the attack fast path: whole attack trials
      per second through each attack's run_span, each case measured on
      both replay paths (auto-selected batched kernels vs Kernel.Scalar,
@@ -471,32 +462,13 @@ let main perf sim (ctx : Run.ctx) =
       ensure_results_dirs ();
       Throughput.Attacks.write ~span_id:t.Scheduler.span_id
         ~path:"results/BENCH_attacks.json" entries;
-      let gate_lines =
-        Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
-          entries
-        |> List.map (fun (attack, speedup, pass) ->
-               match speedup with
-               | None ->
-                 Printf.sprintf "  gate bench_attacks %-12s no baseline rows\n"
-                   attack
-               | Some x
-                 when List.mem attack Throughput.Attacks.hard_classes ->
-                 Printf.sprintf
-                   "  gate bench_attacks %-12s min speedup %5.2fx %s\n" attack
-                   x
-                   (if pass then ">= 1.30x PASS" else "<  1.30x FAIL")
-               | Some x ->
-                 Printf.sprintf
-                   "  gate bench_attacks %-12s min speedup %5.2fx (reported)\n"
-                   attack x)
-        |> String.concat ""
-      in
       Throughput.Attacks.render ~baseline:"bench/BENCH_attacks.baseline.json"
         entries
-      ^ gate_lines
-      ^ Printf.sprintf "  wrote results/BENCH_attacks.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+      ^ String.concat ""
+          (List.map Throughput.Gate.line
+             (Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
+                entries))
+      ^ wrote "results/BENCH_attacks.json" t);
   (* Third perf gate: end-to-end campaign pipelining. Runs the
      quick-scale validation matrix and the experimental figures twice —
      sequential campaign execution vs all campaigns' shards submitted
@@ -521,24 +493,9 @@ let main perf sim (ctx : Run.ctx) =
       ensure_results_dirs ();
       Throughput.E2e.write ~span_id:t.Scheduler.span_id
         ~path:"results/BENCH_e2e.json" entries;
-      let gate_line =
-        match Throughput.E2e.gate ~threshold:1.3 entries with
-        | None, _ -> "  gate e2e          missing arm, no ratio\n"
-        | Some x, Throughput.E2e.Pass ->
-          Printf.sprintf "  gate e2e          pipelining speedup %5.2fx >= 1.30x PASS\n" x
-        | Some x, Throughput.E2e.Fail ->
-          Printf.sprintf "  gate e2e          pipelining speedup %5.2fx <  1.30x FAIL\n" x
-        | Some x, Throughput.E2e.Reported ->
-          Printf.sprintf
-            "  gate e2e          pipelining speedup %5.2fx (reported: needs \
-             >= 4 cores and >= 4 jobs for a hard gate)\n"
-            x
-      in
       Throughput.E2e.render ~baseline:"bench/BENCH_e2e.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_e2e.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+      ^ Throughput.Gate.line (Throughput.E2e.gate entries)
+      ^ wrote "results/BENCH_e2e.json" t);
   (* Adaptive-stopping gate: the quick matrix run twice through the
      same adaptive machinery — a run-to-cap arm that measures the CI
      widths the fixed budgets achieve, then a run-to-confidence arm
@@ -557,20 +514,10 @@ let main perf sim (ctx : Run.ctx) =
       ensure_results_dirs ();
       Throughput.E2e.write ~span_id:!e2e_span ~adaptive:entries
         ~path:"results/BENCH_e2e.json" !e2e_entries;
-      let gate_line =
-        match Throughput.Adaptive.gate ~threshold:2.0 entries with
-        | None, _ -> "  gate adaptive     missing arm, no ratio\n"
-        | Some x, pass ->
-          Printf.sprintf
-            "  gate adaptive     trials saved at matched width %5.2fx %s\n" x
-            (if pass then ">= 2.00x PASS" else "<  2.00x FAIL")
-      in
       Throughput.Adaptive.render ~baseline:"bench/BENCH_e2e.baseline.json"
         entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_e2e.json (with adaptive rows)%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+      ^ Throughput.Gate.line (Throughput.Adaptive.gate entries)
+      ^ wrote "results/BENCH_e2e.json (with adaptive rows)" t);
   (* Fourth perf gate: the PAS query server. A forked Inline server is
      driven over its real socket in three mixes — memo-hit (batched
      repeats of the heaviest closed form against a warm memo), cold
@@ -588,20 +535,10 @@ let main perf sim (ctx : Run.ctx) =
       ensure_results_dirs ();
       Cachesec_serve.Serve_bench.write ~span_id:t.Scheduler.span_id
         ~path:"results/BENCH_serve.json" entries;
-      let gate_line =
-        match Cachesec_serve.Serve_bench.gate entries with
-        | None -> "  gate bench_serve  missing mix, no ratio\n"
-        | Some (x, pass) ->
-          Printf.sprintf
-            "  gate bench_serve  memo-hit/cold qps ratio %7.1fx %s\n" x
-            (if pass then ">= 50.0x PASS" else "<  50.0x FAIL")
-      in
       Cachesec_serve.Serve_bench.render
         ~baseline:"bench/BENCH_serve.baseline.json" entries
-      ^ gate_line
-      ^ Printf.sprintf "  wrote results/BENCH_serve.json%s\n"
-          (if t.Scheduler.span_id = 0 then ""
-           else Printf.sprintf " (telemetry_span %d)" t.Scheduler.span_id));
+      ^ Throughput.Gate.line (Cachesec_serve.Serve_bench.gate entries)
+      ^ wrote "results/BENCH_serve.json" t);
   section "CSV export" (fun () ->
       export_csvs !cells;
       "");

@@ -48,8 +48,6 @@ val merge_into : partial -> partial -> unit
     mutating the running accumulator is safe. The right argument is
     unchanged. *)
 
-val merge_partial : partial -> partial -> partial
-
 val observe : partial -> Cachesec_stats.Sequential.observation
 (** The adaptive runtime's estimator hook: a [Mean_rel] over the span's
     observed whole-block times (see {!Evict_time.observe}). *)

@@ -49,18 +49,6 @@ let merge_into a b =
   done;
   Summary.merge_into a.times b.times
 
-(* Pure compatibility wrapper: copy, then fold. *)
-let merge_partial a b =
-  let acc =
-    {
-      sums = Array.copy a.sums;
-      counts = Array.copy a.counts;
-      times = Summary.copy a.times;
-    }
-  in
-  merge_into acc b;
-  acc
-
 let observe p = Sequential.Mean_rel p.times
 
 (* One contiguous span of the global trial index space, [first+1 ..

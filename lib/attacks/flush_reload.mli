@@ -38,8 +38,6 @@ val merge_into : partial -> partial -> unit
     mutating the running accumulator is safe. The right argument is
     unchanged. *)
 
-val merge_partial : partial -> partial -> partial
-
 val observe : partial -> Cachesec_stats.Sequential.observation
 (** The adaptive runtime's estimator hook: a [Proportion] — the best
     candidate's reload-hit rate over the span, from the merged partial's

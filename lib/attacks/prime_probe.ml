@@ -45,18 +45,6 @@ let merge_into a b =
   done;
   a.span <- a.span + b.span
 
-(* Pure compatibility wrapper: copy, then fold. *)
-let merge_partial a b =
-  let acc =
-    {
-      miss_freq = Array.copy a.miss_freq;
-      cand_hits = Array.copy a.cand_hits;
-      span = a.span;
-    }
-  in
-  merge_into acc b;
-  acc
-
 (* Adaptive-runtime estimator: the best candidate's hit rate, a
    proportion over the span. Computed from the merged partial's existing
    accumulators — the zero-allocation trial loop is never touched. *)

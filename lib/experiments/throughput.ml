@@ -156,121 +156,99 @@ let bench (ctx : Run.ctx) =
       e)
     (cases ())
 
-let run ?(quick = false) () =
-  let ctx = { Run.default with Run.quick = quick } in
-  bench ctx
+(* --- records and gates ------------------------------------------------ *)
 
-(* --- JSON (flat, line-oriented: one entry per line, fixed key order,
-   so the file doubles as its own parser format) ------------------- *)
+(* Every BENCH_*.json is a Flat_json document whose header may carry
+   ["telemetry_span"]: the id of the span that wrapped the benchmark
+   section (see [Scheduler.timed]), cross-referencing the
+   TELEMETRY_*.json of the same run. *)
+let write_rows ~schema ?span_id ~path rows =
+  let header =
+    match span_id with
+    | Some id when id <> 0 -> [ ("telemetry_span", Flat_json.int id) ]
+    | Some _ | None -> []
+  in
+  Flat_json.write ~path ~schema ~header ~array:"entries" rows
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"arch\": \"%s\", \"policy\": \"%s\", \"accesses\": %d, \"seconds\": \
-     %.6f, \"accesses_per_sec\": %.1f, \"warmup\": %d, \"repeats\": %d, \
-     \"stddev\": %.1f, \"kernel\": \"%s\", \"slab_bytes\": %d}"
-    e.arch e.policy e.accesses e.seconds e.per_sec e.warmup e.repeats e.stddev
-    e.kernel e.slab_bytes
+module Gate = struct
+  type t = {
+    name : string;
+    observable : string;
+    value : float option;
+    floor : float;
+    hard : bool;
+    note : string;
+  }
 
-(* [?span_id] cross-references the telemetry JSON of the same run: it is
-   the id of the span that wrapped this benchmark section (see
-   [Scheduler.timed]), emitted as an extra header line that [read]'s
-   line scanner skips over, keeping the format backward compatible. *)
-let to_json ?span_id entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_cache/v2\",\n";
-  (match span_id with
-  | Some id when id <> 0 ->
-    Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-  | Some _ | None -> ());
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (entry_to_json e);
-      if i < List.length entries - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  (* A soft gate never fails the run; a hard gate without a value does,
+     so a missing or unreadable goalpost cannot pass vacuously. Ratios
+     against a floor of 10x or more print to one decimal, the rest to
+     two. *)
+  let line g =
+    let w, p = if g.floor >= 10. then (7, 1) else (5, 2) in
+    let verdict =
+      match g.value with
+      | Some x when not g.hard -> Printf.sprintf "%*.*fx (reported%s)" w p x g.note
+      | Some x when x >= g.floor ->
+        Printf.sprintf "%*.*fx >= %.*fx PASS" w p x p g.floor
+      | Some x -> Printf.sprintf "%*.*fx <  %.*fx FAIL" w p x p g.floor
+      | None when g.hard -> Printf.sprintf "no value, floor %.*fx FAIL" p g.floor
+      | None -> Printf.sprintf "no value (reported%s)" g.note
+    in
+    Printf.sprintf "  gate %-12s %s %s\n" g.name g.observable verdict
+end
+
+(* [num /. den] when the denominator row exists and is positive: the
+   shape of the gate observables read against a goalpost file. *)
+let ratio num = function Some den when den > 0. -> Some (num /. den) | _ -> None
+
+let to_row e =
+  Flat_json.(
+    row
+      [ ("arch", str e.arch); ("policy", str e.policy); ("accesses", int e.accesses);
+        ("seconds", fixed 6 e.seconds); ("accesses_per_sec", fixed 1 e.per_sec);
+        ("warmup", int e.warmup); ("repeats", int e.repeats);
+        ("stddev", fixed 1 e.stddev); ("kernel", str e.kernel);
+        ("slab_bytes", int e.slab_bytes) ])
+
+(* bench_cache/v1 rows (the frozen seed file) predate the honesty
+   fields: they read as a single un-warmed repetition with no spread and
+   an unknown access path. *)
+let of_row =
+  Flat_json.(
+    decode (fun r ->
+        let s = get_str r and i = get_int r and f = get_float r in
+        { arch = s "arch"; policy = s "policy"; accesses = i "accesses";
+          seconds = f "seconds"; per_sec = f "accesses_per_sec";
+          warmup = default 0 get_int r "warmup";
+          repeats = default 1 get_int r "repeats";
+          stddev = default 0. get_float r "stddev";
+          kernel = default "" get_str r "kernel";
+          slab_bytes = default 0 get_int r "slab_bytes" }))
 
 let write ?span_id ~path entries =
-  let oc = open_out path in
-  output_string oc (to_json ?span_id entries);
-  close_out oc
+  write_rows ~schema:"bench_cache/v2" ?span_id ~path (List.map to_row entries)
 
-(* One entry line, v2 first, falling back to the v1 key set (committed
-   baselines predate the honesty fields). v1 rows read as a single
-   un-warmed repetition with no spread and an unknown access path. *)
-let entry_of_line line =
-  match
-    Scanf.sscanf line
-      "{\"arch\": %S, \"policy\": %S, \"accesses\": %d, \"seconds\": %f, \
-       \"accesses_per_sec\": %f, \"warmup\": %d, \"repeats\": %d, \"stddev\": \
-       %f, \"kernel\": %S, \"slab_bytes\": %d}"
-      (fun arch policy accesses seconds per_sec warmup repeats stddev kernel
-           slab_bytes ->
-        {
-          arch;
-          policy;
-          accesses;
-          seconds;
-          per_sec;
-          warmup;
-          repeats;
-          stddev;
-          kernel;
-          slab_bytes;
-        })
-  with
-  | e -> Some e
-  | exception Scanf.Scan_failure _ | (exception End_of_file) -> (
-    match
-      Scanf.sscanf line
-        "{\"arch\": %S, \"policy\": %S, \"accesses\": %d, \"seconds\": %f, \
-         \"accesses_per_sec\": %f}"
-        (fun arch policy accesses seconds per_sec ->
-          {
-            arch;
-            policy;
-            accesses;
-            seconds;
-            per_sec;
-            warmup = 0;
-            repeats = 1;
-            stddev = 0.;
-            kernel = "";
-            slab_bytes = 0;
-          })
-    with
-    | e -> Some e
-    | exception Scanf.Scan_failure _ | (exception End_of_file) -> None)
-
-(* Reads files produced by [write] (either schema version): scans each
-   line for an entry object with a fixed key order. Returns [] when the
-   file is absent or holds no entries (never raises). *)
-let read ~path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match entry_of_line line with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !entries
+let read ~path = Flat_json.read_rows ~path of_row
 
 let find entries ~arch ~policy =
   List.find_opt (fun e -> e.arch = arch && e.policy = policy) entries
+
+(* Hard engine gate: sa/lru accesses/sec against a FROZEN goalpost
+   (bench/BENCH_cache.seed.json, the pre-slab, pre-kernel engine). sa/lru
+   is the gated row because it is the paper's conventional-cache
+   reference point and the hottest kernel. *)
+let gate ~baseline entries =
+  let per_sec es = Option.map (fun e -> e.per_sec) (find es ~arch:"sa" ~policy:"lru") in
+  {
+    Gate.name = "bench_cache";
+    observable = "sa/lru speedup";
+    value =
+      Option.bind (per_sec entries) (fun x -> ratio x (per_sec (read ~path:baseline)));
+    floor = 2.5;
+    hard = true;
+    note = "";
+  }
 
 (* --- end-to-end attack throughput (trials/second) ------------------- *)
 
@@ -425,76 +403,28 @@ module Attacks = struct
         e)
       (cases ())
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"attack\": \"%s\", \"arch\": \"%s\", \"path\": \"%s\", \"trials\": \
-       %d, \"seconds\": %.6f, \"trials_per_sec\": %.1f}"
-      e.attack e.arch e.path e.trials e.seconds e.per_sec
+  let to_row e =
+    Flat_json.(
+      row
+        [ ("attack", str e.attack); ("arch", str e.arch); ("path", str e.path);
+          ("trials", int e.trials); ("seconds", fixed 6 e.seconds);
+          ("trials_per_sec", fixed 1 e.per_sec) ])
 
-  let to_json ?span_id entries =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n  \"schema\": \"bench_attacks/v2\",\n";
-    (match span_id with
-    | Some id when id <> 0 ->
-      Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-    | Some _ | None -> ());
-    Buffer.add_string buf "  \"entries\": [\n";
-    List.iteri
-      (fun i e ->
-        Buffer.add_string buf "    ";
-        Buffer.add_string buf (entry_to_json e);
-        if i < List.length entries - 1 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n')
-      entries;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+  (* bench_attacks/v1 rows (the frozen seed file) carry no "path": they
+     were recorded from the pre-batching harness, so they ARE scalar-path
+     measurements, and a v1 goalpost keeps gating the batched rows. *)
+  let of_row =
+    Flat_json.(
+      decode (fun r ->
+          { attack = get_str r "attack"; arch = get_str r "arch";
+            path = default "scalar" get_str r "path"; trials = get_int r "trials";
+            seconds = get_float r "seconds"; per_sec = get_float r "trials_per_sec" }))
 
   let write ?span_id ~path entries =
-    let oc = open_out path in
-    output_string oc (to_json ?span_id entries);
-    close_out oc
+    write_rows ~schema:"bench_attacks/v2" ?span_id ~path
+      (List.map to_row entries)
 
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           (* v2 rows first; v1 rows (no "path" field) were recorded
-              from the pre-batching harness, so they ARE scalar-path
-              measurements — labelled as such, a v1 baseline file keeps
-              gating the batched rows without re-recording. *)
-           match
-             Scanf.sscanf line
-               "{\"attack\": %S, \"arch\": %S, \"path\": %S, \"trials\": %d, \
-                \"seconds\": %f, \"trials_per_sec\": %f}"
-               (fun attack arch path trials seconds per_sec ->
-                 { attack; arch; path; trials; seconds; per_sec })
-           with
-           | e -> entries := e :: !entries
-           | exception Scanf.Scan_failure _ -> (
-             match
-               Scanf.sscanf line
-                 "{\"attack\": %S, \"arch\": %S, \"trials\": %d, \"seconds\": \
-                  %f, \"trials_per_sec\": %f}"
-                 (fun attack arch trials seconds per_sec ->
-                   { attack; arch; path = "scalar"; trials; seconds; per_sec })
-             with
-             | e -> entries := e :: !entries
-             | exception Scanf.Scan_failure _ -> ()
-             | exception End_of_file -> ())
-           | exception End_of_file -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  let read ~path = Flat_json.read_rows ~path of_row
 
   let find entries ~attack ~arch ~path =
     List.find_opt
@@ -528,12 +458,18 @@ module Attacks = struct
      tracing), so they report without failing the build. *)
   let hard_classes = [ "prime-probe"; "evict-time" ]
 
-  let gate ?(threshold = 1.3) ~baseline entries =
+  let gate ~baseline entries =
     let base = read ~path:baseline in
     List.map
       (fun attack ->
-        let s = min_speedup entries ~baseline:base ~attack in
-        (attack, s, match s with Some x -> x >= threshold | None -> false))
+        {
+          Gate.name = "bench_attacks";
+          observable = Printf.sprintf "%-12s min speedup" attack;
+          value = min_speedup entries ~baseline:base ~attack;
+          floor = 1.3;
+          hard = List.mem attack hard_classes;
+          note = "";
+        })
       classes
 
   let render ?baseline entries =
@@ -627,46 +563,24 @@ module Adaptive = struct
     let adaptive = one ~arm:"adaptive" ~ci_width:fixed.width in
     [ fixed; adaptive ]
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"arm\": \"%s\", \"jobs\": %d, \"cores\": %d, \"cells\": %d, \
-       \"trials\": %d, \"caps\": %d, \"width\": %.6f, \"seconds\": %.6f}"
-      e.arm e.jobs e.cores e.cells e.trials e.caps e.width e.seconds
+  let to_row e =
+    Flat_json.(
+      row
+        [ ("arm", str e.arm); ("jobs", int e.jobs); ("cores", int e.cores);
+          ("cells", int e.cells); ("trials", int e.trials); ("caps", int e.caps);
+          ("width", fixed 6 e.width); ("seconds", fixed 6 e.seconds) ])
 
-  let entry_of_line line =
-    match
-      Scanf.sscanf line
-        "{\"arm\": %S, \"jobs\": %d, \"cores\": %d, \"cells\": %d, \
-         \"trials\": %d, \"caps\": %d, \"width\": %f, \"seconds\": %f}"
-        (fun arm jobs cores cells trials caps width seconds ->
-          { arm; jobs; cores; cells; trials; caps; width; seconds })
-    with
-    | e -> Some e
-    | exception Scanf.Scan_failure _ | (exception End_of_file) -> None
+  (* Adaptive rows share BENCH_e2e.json with the section rows; the "arm"
+     key is what marks them. *)
+  let of_row =
+    Flat_json.(
+      decode (fun r ->
+          let i = get_int r and f = get_float r in
+          { arm = get_str r "arm"; jobs = i "jobs"; cores = i "cores";
+            cells = i "cells"; trials = i "trials"; caps = i "caps";
+            width = f "width"; seconds = f "seconds" }))
 
-  (* Scans a BENCH_e2e.json for adaptive-arm rows, skipping the
-     section-mode rows (and anything else) line by line — the same
-     schema-compatible coexistence the other readers practice. *)
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           match entry_of_line line with
-           | Some e -> entries := e :: !entries
-           | None -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  let read ~path = Flat_json.read_rows ~path of_row
 
   let find entries ~arm = List.find_opt (fun e -> e.arm = arm) entries
 
@@ -687,10 +601,15 @@ module Adaptive = struct
   (* Hard gate: both arms run the same seeds and the stop decisions are
      functions of seed-determined estimates at deterministic round
      boundaries, so the ratio cannot vary across hosts or job counts. *)
-  let gate ?(threshold = 2.0) entries =
-    match savings entries with
-    | None -> (None, false)
-    | Some x -> (Some x, x >= threshold)
+  let gate entries =
+    {
+      Gate.name = "adaptive";
+      observable = "trials saved at matched width";
+      value = savings entries;
+      floor = 2.0;
+      hard = true;
+      note = "";
+    }
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in
@@ -799,69 +718,29 @@ module E2e = struct
     List.map (one ~mode:"sequential" ~pipeline:false) sections
     @ List.map (one ~mode:"pipelined" ~pipeline:true) sections
 
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"section\": \"%s\", \"mode\": \"%s\", \"jobs\": %d, \"cores\": %d, \
-       \"units\": %d, \"seconds\": %.6f}"
-      e.section e.mode e.jobs e.cores e.units e.seconds
+  let to_row e =
+    Flat_json.(
+      row
+        [ ("section", str e.section); ("mode", str e.mode); ("jobs", int e.jobs);
+          ("cores", int e.cores); ("units", int e.units);
+          ("seconds", fixed 6 e.seconds) ])
 
-  (* v2 = v1 plus optional adaptive-arm rows in the same entries array
-     (distinct key set; every reader here scans line-wise and skips
-     rows it does not parse, so v1 and v2 files are mutually readable). *)
-  let to_json ?span_id ?(adaptive = []) entries =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"bench_e2e/v2\",\n";
-    (match span_id with
-    | Some id when id <> 0 ->
-      Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-    | Some _ | None -> ());
-    Buffer.add_string buf "  \"entries\": [\n";
-    let rows =
-      List.map entry_to_json entries
-      @ List.map Adaptive.entry_to_json adaptive
-    in
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "    ";
-        Buffer.add_string buf r;
-        if i < List.length rows - 1 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n')
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    Buffer.contents buf
+  (* Section rows are the ones carrying "section"; the adaptive rows in
+     the same file carry "arm" instead. *)
+  let of_row =
+    Flat_json.(
+      decode (fun r ->
+          { section = get_str r "section"; mode = get_str r "mode";
+            jobs = get_int r "jobs"; cores = get_int r "cores";
+            units = get_int r "units"; seconds = get_float r "seconds" }))
 
-  let write ?span_id ?adaptive ~path entries =
-    let oc = open_out path in
-    output_string oc (to_json ?span_id ?adaptive entries);
-    close_out oc
+  (* bench_e2e/v2 = v1's section rows plus the adaptive-arm rows in the
+     same entries array. *)
+  let write ?span_id ?(adaptive = []) ~path entries =
+    write_rows ~schema:"bench_e2e/v2" ?span_id ~path
+      (List.map to_row entries @ List.map Adaptive.to_row adaptive)
 
-  let read ~path =
-    match open_in path with
-    | exception Sys_error _ -> []
-    | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           let line =
-             if String.length line > 0 && line.[String.length line - 1] = ','
-             then String.sub line 0 (String.length line - 1)
-             else line
-           in
-           match
-             Scanf.sscanf line
-               "{\"section\": %S, \"mode\": %S, \"jobs\": %d, \"cores\": %d, \
-                \"units\": %d, \"seconds\": %f}"
-               (fun section mode jobs cores units seconds ->
-                 { section; mode; jobs; cores; units; seconds })
-           with
-           | e -> entries := e :: !entries
-           | exception Scanf.Scan_failure _ -> ()
-           | exception End_of_file -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !entries
+  let read ~path = Flat_json.read_rows ~path of_row
 
   (* Baselines may hold rows for several jobs settings; prefer the row
      matching [?jobs], falling back to any row of the (section, mode). *)
@@ -886,20 +765,20 @@ module E2e = struct
     let s = total "sequential" and p = total "pipelined" in
     if s > 0. && p > 0. then Some (s /. p) else None
 
-  type verdict = Pass | Fail | Reported
-
   (* Hard gate only where the experiment can demonstrate parallelism:
      >= 4 cores on the host and >= 4 requested jobs. Anywhere else the
      ratio is still computed and printed, but cannot fail the run —
      with nothing to pipeline *into*, a ratio near 1.0 is the expected
      honest answer, not a regression. *)
-  let gate ?(threshold = 1.3) entries =
-    match speedup entries with
-    | None -> (None, Reported)
-    | Some x ->
-      let hard = List.exists (fun e -> e.jobs >= 4 && e.cores >= 4) entries in
-      if not hard then (Some x, Reported)
-      else (Some x, if x >= threshold then Pass else Fail)
+  let gate entries =
+    {
+      Gate.name = "e2e";
+      observable = "pipelining speedup";
+      value = speedup entries;
+      floor = 1.3;
+      hard = List.exists (fun e -> e.jobs >= 4 && e.cores >= 4) entries;
+      note = ": needs >= 4 cores and >= 4 jobs for a hard gate";
+    }
 
   let render ?baseline entries =
     let buf = Buffer.create 1024 in

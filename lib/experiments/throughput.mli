@@ -1,9 +1,36 @@
 (** Simulator-throughput benchmark: accesses/second through
-    [Engine.access] per architecture x replacement policy, with a
-    machine-readable JSON export ([BENCH_cache.json]) whose format is
-    frozen so runs from different PRs are directly comparable. *)
+    [Engine.access] per architecture x replacement policy, exported as
+    [BENCH_cache.json]. Every BENCH file is a
+    {!Cachesec_telemetry.Flat_json} document, each section here one
+    [to_row]/[of_row] pair over it, and every perf gate one {!Gate.t}. *)
 
 open Cachesec_runtime
+open Cachesec_telemetry
+
+(** One perf-gate verdict, printed as one [gate ...] line. *)
+module Gate : sig
+  type t = {
+    name : string;  (** e.g. ["bench_cache"] *)
+    observable : string;  (** what [value] measures *)
+    value : float option;  (** [None]: no value could be computed *)
+    floor : float;  (** [value >= floor] passes *)
+    hard : bool;  (** a soft gate reports without failing *)
+    note : string;  (** appended inside a soft gate's [(reported...)] *)
+  }
+
+  val line : t -> string
+  (** ["  gate <name> <observable> <value>x <verdict>\n"]: [PASS] or
+      [FAIL] when hard (a hard gate without a value FAILs),
+      [(reported<note>)] when soft. *)
+end
+
+val ratio : float -> float option -> float option
+(** [num /. den] when [den] is present and positive. *)
+
+val write_rows : schema:string -> ?span_id:int -> path:string -> string list -> unit
+(** The BENCH envelope: rows under ["entries"], plus (when [span_id] is
+    non-zero) a ["telemetry_span"] header cross-referencing the
+    [TELEMETRY_*.json] of the same run. *)
 
 type entry = {
   arch : string;
@@ -62,30 +89,27 @@ val bench : Run.ctx -> entry list
     the JSON row) and [cache.slab_bytes], reported only after the
     stopwatch has stopped — the timed loop is never instrumented. *)
 
-val to_json : ?span_id:int -> entry list -> string
+val to_row : entry -> string
 (** Schema [bench_cache/v2]: v1's keys plus [warmup], [repeats],
-    [stddev], [kernel], [slab_bytes]. {!read} accepts both versions. *)
+    [stddev], [kernel], [slab_bytes]. *)
+
+val of_row : Flat_json.row -> (entry, Flat_json.error) result
+(** Either schema version; v1 rows get [warmup = 0], [repeats = 1],
+    [stddev = 0.], [kernel = ""], [slab_bytes = 0]. *)
 
 val write : ?span_id:int -> path:string -> entry list -> unit
-(** [?span_id] (when non-zero) records the telemetry span id of the
-    benchmark section as a ["telemetry_span"] header line, so the file
-    cross-references the [TELEMETRY_*.json] of the same run. {!read}
-    skips the line, keeping old and new files mutually parseable. *)
-
 val read : path:string -> entry list
-(** Parse a file produced by {!write} — either schema version; v1 rows
-    get [warmup = 0], [repeats = 1], [stddev = 0.], [kernel = ""],
-    [slab_bytes = 0]. [[]] if absent or unparseable. *)
+(** The rows {!of_row} accepts; [[]] if absent. *)
 
 val find : entry list -> arch:string -> policy:string -> entry option
+
+val gate : baseline:string -> entry list -> Gate.t
+(** Hard gate: sa/lru accesses/sec over the same row of the [baseline]
+    file (the frozen seed goalpost), floor 2.5x. *)
 
 val render : ?baseline:string -> entry list -> string
 (** Human-readable table; when [baseline] names a readable
     {!write}-format file, adds a per-row speedup column against it. *)
-
-val run : ?quick:bool -> unit -> entry list
-[@@alert deprecated "use bench with a Run.ctx"]
-(** {!bench} under a default (null-telemetry) context. *)
 
 (** End-to-end attack throughput: whole attack trials per second
     (prime → victim encryption → probe → scoring) through the real
@@ -140,32 +164,25 @@ module Attacks : sig
       with [trials_per_sec] / [trials] gauges reported after its
       stopwatch has stopped. *)
 
-  val to_json : ?span_id:int -> entry list -> string
-  val write : ?span_id:int -> path:string -> entry list -> unit
+  val to_row : entry -> string
 
-  val read : path:string -> entry list
+  val of_row : Flat_json.row -> (entry, Flat_json.error) result
   (** Parses both [bench_attacks/v2] rows and pre-batching [v1] rows —
       the latter carry no [path] field and are labelled ["scalar"],
       which is what they measured. *)
 
+  val write : ?span_id:int -> path:string -> entry list -> unit
+  val read : path:string -> entry list
+
   val find :
     entry list -> attack:string -> arch:string -> path:string -> entry option
 
-  val min_speedup : entry list -> baseline:entry list -> attack:string -> float option
-  (** Worst-case speedup of [attack]'s batched rows over the baseline's
-      scalar rows, across the measured architectures; [None] without
-      overlapping rows on both sides. *)
-
-  val hard_classes : string list
-  (** The classes whose gate result is a hard PASS/FAIL
-      (["prime-probe"; "evict-time"] — the two whose trial cost is
-      dominated by batched runs); the rest report without failing. *)
-
-  val gate : ?threshold:float -> baseline:string -> entry list ->
-    (string * float option * bool) list
-  (** Per attack class: [(class, min batched-vs-scalar speedup vs the
-      baseline file, speedup >= threshold)]. Threshold defaults to
-      1.3. *)
+  val gate : baseline:string -> entry list -> Gate.t list
+  (** One gate per class, in {!classes} order: the worst-case speedup
+      of the class's batched rows over the [baseline] file's scalar
+      rows across the measured architectures, floor 1.3x. Hard for
+      prime-probe and evict-time, whose trial cost is dominated by
+      batched runs; the rest report without failing. *)
 
   val render : ?baseline:string -> entry list -> string
 end
@@ -201,22 +218,17 @@ module Adaptive : sig
       [seconds] / [trials] / [ci_width] gauges. Returns
       [[fixed; adaptive]]. *)
 
-  val entry_to_json : entry -> string
+  val to_row : entry -> string
+
+  val of_row : Flat_json.row -> (entry, Flat_json.error) result
+  (** Adaptive rows are the ones carrying ["arm"]. *)
+
   val read : path:string -> entry list
-  (** Scan a [BENCH_e2e.json] for adaptive rows, skipping the
-      section-mode rows; [[]] when absent. *)
+  (** The adaptive rows of a [BENCH_e2e.json]; [[]] when absent. *)
 
-  val find : entry list -> arm:string -> entry option
-
-  val savings : entry list -> float option
-  (** Within-run trials ratio fixed/adaptive — the gate observable. *)
-
-  val wall_reduction : entry list -> float option
-  (** Within-run wall-clock ratio fixed/adaptive; reported, not gated. *)
-
-  val gate : ?threshold:float -> entry list -> float option * bool
-  (** [(savings, savings >= threshold)] (default 2.0). Hard on every
-      host: the ratio is a function of the seeds alone. *)
+  val gate : entry list -> Gate.t
+  (** The within-run trials ratio fixed/adaptive, floor 2.0x. Hard on
+      every host: the ratio is a function of the seeds alone. *)
 
   val render : ?baseline:string -> entry list -> string
 end
@@ -229,7 +241,7 @@ end
     identical seeds, so the sequential/pipelined ratio isolates what the
     pool buys: later campaigns' shards filling worker idle time at
     earlier campaigns' join barriers. Exported as [BENCH_e2e.json]
-    (schema [bench_e2e/v1], frozen line format); the committed
+    (schema [bench_e2e/v2], with the {!Adaptive} rows); the committed
     [bench/BENCH_e2e.baseline.json] was recorded pre-refactor and feeds
     the [vs base] trajectory column. *)
 module E2e : sig
@@ -252,35 +264,27 @@ module E2e : sig
       are bit-identical between the arms — only the wall-clock differs
       (enforced by test_runtime's pipelined-equivalence cases). *)
 
-  val to_json :
-    ?span_id:int -> ?adaptive:Adaptive.entry list -> entry list -> string
-  (** Schema [bench_e2e/v2]: the pipelining rows plus (optionally) the
-      adaptive-arm rows in the same entries array. Every reader scans
-      line-wise and skips rows it does not parse, so v1 and v2 files
-      are mutually readable. *)
+  val to_row : entry -> string
+
+  val of_row : Flat_json.row -> (entry, Flat_json.error) result
+  (** Section rows are the ones carrying ["section"]. *)
 
   val write :
     ?span_id:int -> ?adaptive:Adaptive.entry list -> path:string ->
     entry list -> unit
+  (** Schema [bench_e2e/v2]: the pipelining rows, then the [adaptive]
+      rows, in one entries array. *)
 
   val read : path:string -> entry list
-  val find :
-    ?jobs:int -> entry list -> section:string -> mode:string -> entry option
-  (** Prefer the row matching [?jobs] (baselines may hold several jobs
-      settings), falling back to any row of the (section, mode). *)
+  (** The section rows of a [BENCH_e2e.json]; [[]] when absent. *)
 
-  val speedup : entry list -> float option
-  (** Total sequential seconds / total pipelined seconds across all
-      sections; [None] when either arm is missing. *)
-
-  type verdict = Pass | Fail | Reported
-
-  val gate : ?threshold:float -> entry list -> float option * verdict
-  (** The pipelining gate: [Pass]/[Fail] against [threshold] (default
-      1.3) when the run could demonstrate parallelism (host cores >= 4
-      and jobs >= 4); [Reported] otherwise — on a small host there are
-      no idle workers to fill, so a ratio near 1.0 is the expected
-      honest answer, not a regression. *)
+  val gate : entry list -> Gate.t
+  (** The pipelining gate: total sequential seconds over total
+      pipelined seconds, floor 1.3x, hard when the run
+      could demonstrate parallelism (host cores >= 4 and jobs >= 4) and
+      reported otherwise — on a small host there are no idle workers to
+      fill, so a ratio near 1.0 is the expected honest answer, not a
+      regression. *)
 
   val render : ?baseline:string -> entry list -> string
 end

@@ -2,6 +2,7 @@ open Cachesec_runtime
 open Cachesec_telemetry
 open Cachesec_cache
 open Cachesec_analysis
+open Cachesec_experiments
 
 type entry = {
   mix : string;
@@ -17,7 +18,6 @@ type entry = {
 }
 
 let default_socket = "results/.serve-bench.sock"
-let default_gate_threshold = 50.
 
 (* The gate query: the heaviest closed form served (all nine
    architectures' PIFGs under one attack), so the memo-hit/cold ratio
@@ -204,83 +204,42 @@ let bench (ctx : Run.ctx) =
             finished := true;
             entries))
 
-let gate ?(threshold = default_gate_threshold) entries =
-  let find mix = List.find_opt (fun e -> e.mix = mix) entries in
-  match (find "memo-hit", find "cold") with
-  | Some h, Some c when c.qps > 0. ->
-    let ratio = h.qps /. c.qps in
-    Some (ratio, ratio >= threshold)
-  | _ -> None
-
 let find entries ~mix = List.find_opt (fun e -> e.mix = mix) entries
 
-(* --- JSON (flat, line-oriented, fixed key order — same discipline as
-   the other BENCH files, so the file doubles as its own parser
-   format) -------------------------------------------------------- *)
+let gate entries =
+  let qps mix = Option.map (fun e -> e.qps) (find entries ~mix) in
+  {
+    Throughput.Gate.name = "bench_serve";
+    observable = "memo-hit/cold qps ratio";
+    value = Option.bind (qps "memo-hit") (fun h -> Throughput.ratio h (qps "cold"));
+    floor = 50.;
+    hard = true;
+    note = "";
+  }
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"mix\": \"%s\", \"queries\": %d, \"batch\": %d, \"seconds\": %.6f, \
-     \"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, \"warmup\": %d, \
-     \"repeats\": %d, \"stddev\": %.1f}"
-    e.mix e.queries e.batch e.seconds e.qps e.p50_us e.p99_us e.warmup
-    e.repeats e.stddev
+let to_row e =
+  Flat_json.(
+    row
+      [ ("mix", str e.mix); ("queries", int e.queries); ("batch", int e.batch);
+        ("seconds", fixed 6 e.seconds); ("qps", fixed 1 e.qps);
+        ("p50_us", fixed 2 e.p50_us); ("p99_us", fixed 2 e.p99_us);
+        ("warmup", int e.warmup); ("repeats", int e.repeats);
+        ("stddev", fixed 1 e.stddev) ])
 
-let to_json ?span_id entries =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_serve/v1\",\n";
-  (match span_id with
-  | Some id when id <> 0 ->
-    Buffer.add_string buf (Printf.sprintf "  \"telemetry_span\": %d,\n" id)
-  | Some _ | None -> ());
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "    ";
-      Buffer.add_string buf (entry_to_json e);
-      if i < List.length entries - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    entries;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let of_row =
+  Flat_json.(
+    decode (fun r ->
+        let i = get_int r and f = get_float r in
+        { mix = get_str r "mix"; queries = i "queries"; batch = i "batch";
+          seconds = f "seconds"; qps = f "qps"; p50_us = f "p50_us";
+          p99_us = f "p99_us"; warmup = i "warmup"; repeats = i "repeats";
+          stddev = f "stddev" }))
 
 let write ?span_id ~path entries =
-  let oc = open_out path in
-  output_string oc (to_json ?span_id entries);
-  close_out oc
+  Throughput.write_rows ~schema:"bench_serve/v1" ?span_id ~path
+    (List.map to_row entries)
 
-let entry_of_line line =
-  match
-    Scanf.sscanf line
-      "{\"mix\": %S, \"queries\": %d, \"batch\": %d, \"seconds\": %f, \
-       \"qps\": %f, \"p50_us\": %f, \"p99_us\": %f, \"warmup\": %d, \
-       \"repeats\": %d, \"stddev\": %f}"
-      (fun mix queries batch seconds qps p50_us p99_us warmup repeats stddev ->
-        { mix; queries; batch; seconds; qps; p50_us; p99_us; warmup; repeats;
-          stddev })
-  with
-  | e -> Some e
-  | exception Scanf.Scan_failure _ | (exception End_of_file) -> None
-
-let read ~path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         match entry_of_line line with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done
-     with End_of_file -> close_in ic);
-    List.rev !entries
+let read ~path = Flat_json.read_rows ~path of_row
 
 let render ?baseline entries =
   let base =

@@ -1,6 +1,7 @@
 (** Client/server throughput benchmark for the PAS query server,
-    exported as [BENCH_serve.json] (schema [bench_serve/v1], frozen
-    line format like the other bench files).
+    exported as [BENCH_serve.json] (schema [bench_serve/v1], a
+    {!Cachesec_telemetry.Flat_json} document like the other bench
+    files).
 
     The server is a child process: the benchmark re-execs its own
     executable with a sentinel argv that {!child_entry} intercepts
@@ -25,7 +26,7 @@
       repetition; these are seconds-scale, variance is visible in
       p50/p99).
 
-    The hard gate: memo-hit QPS >= {!default_gate_threshold} x cold
+    The hard gate: memo-hit QPS >= 50 x cold
     QPS. Batch sizes are recorded in the entries — the comparison is
     honest about amortization: the served fast path is only worth its
     name if batching + memoization beat recomputation by a wide
@@ -65,17 +66,19 @@ val bench : Run.ctx -> entry list
     repetitions. Gauges [serve_bench.<mix>.qps] are reported to
     [ctx.telemetry]. *)
 
-val default_gate_threshold : float
-(** 50. *)
-
-val gate : ?threshold:float -> entry list -> (float * bool) option
-(** [(memo-hit QPS / cold QPS, ratio >= threshold)]; [None] when either
+val gate : entry list -> Cachesec_experiments.Throughput.Gate.t
+(** Hard gate: memo-hit QPS / cold QPS, floor 50x; no value when either
     mix is missing. *)
 
-val to_json : ?span_id:int -> entry list -> string
+val to_row : entry -> string
+
+val of_row :
+  Cachesec_telemetry.Flat_json.row ->
+  (entry, Cachesec_telemetry.Flat_json.error) result
+
 val write : ?span_id:int -> path:string -> entry list -> unit
 val read : path:string -> entry list
-(** [[]] if absent or unparseable (never raises). *)
+(** The rows {!of_row} accepts; [[]] if absent (never raises). *)
 
 val find : entry list -> mix:string -> entry option
 val render : ?baseline:string -> entry list -> string

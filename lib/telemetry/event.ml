@@ -4,9 +4,8 @@
    ([Telemetry.make]), so the JSON export is small, diffable and
    independent of the host's wall-clock epoch.
 
-   The JSON line codec mirrors Throughput's discipline: one object per
-   line with a fixed key order, so the file is parseable with [Scanf]
-   alone and the library needs no JSON dependency. *)
+   Each event is one flat row of the [telemetry/v1] document, tagged by
+   its ["ev"] key; {!Flat_json} owns the encoding. *)
 
 type t =
   | Span_start of { id : int; parent : int; name : string; t_s : float }
@@ -36,83 +35,61 @@ type t =
   | Gauge of { span : int; name : string; value : float; t_s : float }
   | Counter_total of { name : string; value : int }
 
-let to_json_line = function
+let to_row e =
+  let open Flat_json in
+  let ev tag fields = row (("ev", str tag) :: fields) in
+  match e with
   | Span_start { id; parent; name; t_s } ->
-    Printf.sprintf
-      "{\"ev\": \"span_start\", \"id\": %d, \"parent\": %d, \"name\": %S, \
-       \"t\": %.6f}"
-      id parent name t_s
+    ev "span_start"
+      [ ("id", int id); ("parent", int parent); ("name", str name);
+        ("t", fixed 6 t_s) ]
   | Span_end { id; parent; name; t_s; dur_s } ->
-    Printf.sprintf
-      "{\"ev\": \"span_end\", \"id\": %d, \"parent\": %d, \"name\": %S, \
-       \"t\": %.6f, \"dur\": %.6f}"
-      id parent name t_s dur_s
+    ev "span_end"
+      [ ("id", int id); ("parent", int parent); ("name", str name);
+        ("t", fixed 6 t_s); ("dur", fixed 6 dur_s) ]
   | Batch_start { span; index; total; domain; t_s } ->
-    Printf.sprintf
-      "{\"ev\": \"batch_start\", \"span\": %d, \"index\": %d, \"total\": %d, \
-       \"domain\": %d, \"t\": %.6f}"
-      span index total domain t_s
+    ev "batch_start"
+      [ ("span", int span); ("index", int index); ("total", int total);
+        ("domain", int domain); ("t", fixed 6 t_s) ]
   | Batch_end { span; index; total; domain; t_s; dur_s } ->
-    Printf.sprintf
-      "{\"ev\": \"batch_end\", \"span\": %d, \"index\": %d, \"total\": %d, \
-       \"domain\": %d, \"t\": %.6f, \"dur\": %.6f}"
-      span index total domain t_s dur_s
+    ev "batch_end"
+      [ ("span", int span); ("index", int index); ("total", int total);
+        ("domain", int domain); ("t", fixed 6 t_s); ("dur", fixed 6 dur_s) ]
   | Domain_busy { span; domain; busy_s; units } ->
-    Printf.sprintf
-      "{\"ev\": \"domain_busy\", \"span\": %d, \"domain\": %d, \"busy\": \
-       %.6f, \"units\": %d}"
-      span domain busy_s units
+    ev "domain_busy"
+      [ ("span", int span); ("domain", int domain); ("busy", fixed 6 busy_s);
+        ("units", int units) ]
   | Gauge { span; name; value; t_s } ->
-    Printf.sprintf
-      "{\"ev\": \"gauge\", \"span\": %d, \"name\": %S, \"value\": %.6f, \
-       \"t\": %.6f}"
-      span name value t_s
+    ev "gauge"
+      [ ("span", int span); ("name", str name); ("value", fixed 6 value);
+        ("t", fixed 6 t_s) ]
   | Counter_total { name; value } ->
-    Printf.sprintf "{\"ev\": \"counter\", \"name\": %S, \"value\": %d}" name
-      value
+    ev "counter" [ ("name", str name); ("value", int value) ]
 
-(* Parse a line produced by [to_json_line]. Returns [None] on anything
-   else (other JSON lines, structural braces), so a reader can fold it
-   over a whole file. *)
-let of_json_line line =
-  let line = String.trim line in
-  let line =
-    if String.length line > 0 && line.[String.length line - 1] = ',' then
-      String.sub line 0 (String.length line - 1)
-    else line
-  in
-  let tag =
-    try Some (Scanf.sscanf line "{\"ev\": %S" (fun ev -> ev)) with
-    | Scanf.Scan_failure _ | End_of_file | Failure _ -> None
-  in
-  let parse fmt k = try Some (Scanf.sscanf line fmt k) with _ -> None in
-  match tag with
-  | Some "span_start" ->
-    parse "{\"ev\": %S, \"id\": %d, \"parent\": %d, \"name\": %S, \"t\": %f}"
-      (fun _ id parent name t_s -> Span_start { id; parent; name; t_s })
-  | Some "span_end" ->
-    parse
-      "{\"ev\": %S, \"id\": %d, \"parent\": %d, \"name\": %S, \"t\": %f, \
-       \"dur\": %f}" (fun _ id parent name t_s dur_s ->
-        Span_end { id; parent; name; t_s; dur_s })
-  | Some "batch_start" ->
-    parse
-      "{\"ev\": %S, \"span\": %d, \"index\": %d, \"total\": %d, \"domain\": \
-       %d, \"t\": %f}" (fun _ span index total domain t_s ->
-        Batch_start { span; index; total; domain; t_s })
-  | Some "batch_end" ->
-    parse
-      "{\"ev\": %S, \"span\": %d, \"index\": %d, \"total\": %d, \"domain\": \
-       %d, \"t\": %f, \"dur\": %f}" (fun _ span index total domain t_s dur_s ->
-        Batch_end { span; index; total; domain; t_s; dur_s })
-  | Some "domain_busy" ->
-    parse "{\"ev\": %S, \"span\": %d, \"domain\": %d, \"busy\": %f, \"units\": %d}"
-      (fun _ span domain busy_s units ->
-        Domain_busy { span; domain; busy_s; units })
-  | Some "gauge" ->
-    parse "{\"ev\": %S, \"span\": %d, \"name\": %S, \"value\": %f, \"t\": %f}"
-      (fun _ span name value t_s -> Gauge { span; name; value; t_s })
-  | Some "counter" ->
-    parse "{\"ev\": %S, \"name\": %S, \"value\": %d}" (fun _ name value ->
-        Counter_total { name; value })
-  | Some _ | None -> None
+let of_row =
+  Flat_json.decode (fun r ->
+      let open Flat_json in
+      let i = get_int r and f = get_float r and s = get_str r in
+      match s "ev" with
+      | "span_start" ->
+        Span_start { id = i "id"; parent = i "parent"; name = s "name"; t_s = f "t" }
+      | "span_end" ->
+        Span_end
+          { id = i "id"; parent = i "parent"; name = s "name"; t_s = f "t";
+            dur_s = f "dur" }
+      | "batch_start" ->
+        Batch_start
+          { span = i "span"; index = i "index"; total = i "total";
+            domain = i "domain"; t_s = f "t" }
+      | "batch_end" ->
+        Batch_end
+          { span = i "span"; index = i "index"; total = i "total";
+            domain = i "domain"; t_s = f "t"; dur_s = f "dur" }
+      | "domain_busy" ->
+        Domain_busy
+          { span = i "span"; domain = i "domain"; busy_s = f "busy";
+            units = i "units" }
+      | "gauge" ->
+        Gauge { span = i "span"; name = s "name"; value = f "value"; t_s = f "t" }
+      | "counter" -> Counter_total { name = s "name"; value = i "value" }
+      | _ -> bad_value "ev")

@@ -36,10 +36,10 @@ type t =
   | Counter_total of { name : string; value : int }
       (** merged value of a named counter (emitted at context close) *)
 
-val to_json_line : t -> string
-(** One JSON object, no trailing newline, fixed key order per event
-    kind — the [telemetry/v1] line format. *)
+val to_row : t -> string
+(** The event as one [telemetry/v1] row: ["ev"] (the kind tag) first,
+    then the kind's fields; times with 6 decimals. *)
 
-val of_json_line : string -> t option
-(** Inverse of {!to_json_line} (tolerates a trailing comma and
-    surrounding whitespace); [None] for non-event lines. *)
+val of_row : Flat_json.row -> (t, Flat_json.error) result
+(** Inverse of {!to_row}, by key: any key order parses. An unknown
+    ["ev"] tag is [Bad_value "ev"]. *)

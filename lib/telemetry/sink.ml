@@ -69,72 +69,23 @@ let schema_version = "telemetry/v1"
 let default_json_path ~run =
   Printf.sprintf "results/TELEMETRY_%s.json" run
 
-let mkdir_p path =
-  let rec build prefix = function
-    | [] -> ()
-    | seg :: rest ->
-      let dir = if prefix = "" then seg else prefix ^ "/" ^ seg in
-      if dir <> "" && dir <> "." then (
-        try Unix.mkdir dir 0o755
-        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      build dir rest
-  in
-  match String.split_on_char '/' path with
-  | [] | [ _ ] -> () (* bare filename: nothing to create *)
-  | segs ->
-    (* all but the last segment form the directory chain *)
-    build "" (List.filteri (fun i _ -> i < List.length segs - 1) segs)
-
 let json ?(run = "run") ~path () =
   let events = ref [] in
-  let n = ref 0 in
-  let emit e =
-    events := e :: !events;
-    incr n
-  in
+  let emit e = events := e :: !events in
   let close () =
-    mkdir_p path;
-    let oc = open_out path in
-    output_string oc "{\n";
-    Printf.fprintf oc "  \"schema\": %S,\n" schema_version;
-    Printf.fprintf oc "  \"run\": %S,\n" run;
-    output_string oc "  \"events\": [\n";
-    let total = !n in
-    List.iteri
-      (fun i e ->
-        output_string oc "    ";
-        output_string oc (Event.to_json_line e);
-        if i < total - 1 then output_char oc ',';
-        output_char oc '\n')
-      (List.rev !events);
-    output_string oc "  ]\n}\n";
-    close_out oc
+    Flat_json.write ~path ~schema:schema_version
+      ~header:[ ("run", Flat_json.str run) ]
+      ~array:"events"
+      (List.rev_map Event.to_row !events)
   in
   { emit; close }
 
 (* Reads a file produced by the [json] sink: (schema, run, events).
-   [None] when the file is absent or carries no schema line. *)
+   [None] when the file is absent or carries no schema. *)
 let read_json ~path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let schema = ref None in
-    let run = ref "" in
-    let events = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         (try
-            Scanf.sscanf line "\"schema\": %S" (fun s -> schema := Some s)
-          with _ -> ());
-         (try Scanf.sscanf line "\"run\": %S" (fun r -> run := r)
-          with _ -> ());
-         match Event.of_json_line line with
-         | Some e -> events := e :: !events
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (match !schema with
-    | None -> None
-    | Some s -> Some (s, !run, List.rev !events))
+  match Flat_json.read ~path with
+  | None | Some { Flat_json.schema = None; _ } -> None
+  | Some { Flat_json.schema = Some schema; header; rows } ->
+    let run = Flat_json.(decode (fun h -> get_str h "run") header) in
+    let events = List.filter_map (fun r -> Result.(to_option (bind r Event.of_row))) rows in
+    Some (schema, Result.value run ~default:"", events)

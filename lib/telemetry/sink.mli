@@ -34,11 +34,11 @@ val default_json_path : run:string -> string
 val json : ?run:string -> path:string -> unit -> t
 (** Machine-readable sink: buffers events and, at close, writes a
     [telemetry/v1] document to [path] (creating parent directories):
-    a JSON object with ["schema"], ["run"] and an ["events"] array
-    holding one fixed-key-order object per line ({!Event.to_json_line}),
-    so the file round-trips through {!read_json} without a JSON
-    dependency. *)
+    a {!Flat_json} document with ["schema"], ["run"] and an ["events"]
+    array holding one {!Event.to_row} object per line, so the file
+    round-trips through {!read_json}. *)
 
 val read_json : path:string -> (string * string * Event.t list) option
 (** Parse a {!json}-produced file: [(schema, run, events)]. [None] if
-    the file is absent or has no schema line. *)
+    the file is absent or has no schema. Keys may come in any order;
+    rows that are not events are skipped. *)

@@ -248,6 +248,206 @@ let test_edge_cross_context () =
       Alcotest.(check (float 0.)) (Spec.name spec) 0. m.Edge_measure.measured)
     [ Spec.paper_newcache; Spec.paper_rp ]
 
+(* --- BENCH files: one reader, one gate verdict ------------------------ *)
+
+module Serve_bench = Cachesec_serve.Serve_bench
+
+(* [dune runtest] runs from _build/default/test; [dune exec] from the
+   repo root. *)
+let bench_file name =
+  let dir = if Sys.file_exists "bench" then "bench" else "../bench" in
+  Filename.concat dir name
+let read_text path = In_channel.with_open_text path In_channel.input_all
+
+let with_temp text f =
+  let path = Filename.temp_file "bench" ".json" in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let written write =
+  let path = Filename.temp_file "bench" ".json" in
+  write path;
+  let text = read_text path in
+  Sys.remove path;
+  text
+
+(* The same row with its keys in reverse order. *)
+let reversed line =
+  match Cachesec_telemetry.Flat_json.parse_row line with
+  | Ok r ->
+    Cachesec_telemetry.Flat_json.(
+      row
+        (List.rev_map
+           (fun (k, v) -> (k, match v with String s -> str s | Token t -> t))
+           r))
+  | Error _ -> Alcotest.failf "unparseable row: %s" line
+
+(* Every row kind: the committed rows read back from their own line and
+   from the line with reordered keys. *)
+let check_rows name to_row of_row entries =
+  List.iter
+    (fun e ->
+      let line = to_row e in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (name ^ ": " ^ line) true
+            (Result.bind (Cachesec_telemetry.Flat_json.parse_row line) of_row
+            = Ok e))
+        [ line; reversed line ])
+    entries
+
+let test_committed_bench_files () =
+  let open Throughput in
+  let cache_seed = read ~path:(bench_file "BENCH_cache.seed.json") in
+  let cache_base = read ~path:(bench_file "BENCH_cache.baseline.json") in
+  let att_seed = Attacks.read ~path:(bench_file "BENCH_attacks.seed.json") in
+  let att_base = Attacks.read ~path:(bench_file "BENCH_attacks.baseline.json") in
+  let e2e = E2e.read ~path:(bench_file "BENCH_e2e.baseline.json") in
+  let adaptive = Adaptive.read ~path:(bench_file "BENCH_e2e.baseline.json") in
+  let serve = Serve_bench.read ~path:(bench_file "BENCH_serve.baseline.json") in
+  Alcotest.(check (list int)) "row counts" [ 25; 25; 12; 24; 4; 2; 3 ]
+    (List.map List.length [ cache_seed; cache_base ]
+    @ List.map List.length [ att_seed; att_base ]
+    @ [ List.length e2e; List.length adaptive; List.length serve ]);
+  Alcotest.(check (list string)) "serve mixes" [ "memo-hit"; "cold"; "sim" ]
+    (List.map (fun (e : Serve_bench.entry) -> e.mix) serve);
+  (match find cache_seed ~arch:"sa" ~policy:"lru" with
+  | Some e ->
+    Alcotest.(check (float 0.)) "seed sa/lru per_sec" 4476371.3 e.per_sec;
+    Alcotest.(check (list int)) "v1 defaults (warmup, repeats, slab)"
+      [ 0; 1; 0 ] [ e.warmup; e.repeats; e.slab_bytes ];
+    Alcotest.(check string) "v1 kernel default" "" e.kernel
+  | None -> Alcotest.fail "seed sa/lru row missing");
+  Alcotest.(check bool) "v1 attack rows are scalar" true
+    (List.for_all (fun (e : Attacks.entry) -> e.path = "scalar") att_seed);
+  (match Attacks.find att_seed ~attack:"prime-probe" ~arch:"sa" ~path:"scalar" with
+  | Some e -> Alcotest.(check (float 0.)) "seed prime-probe/sa" 9003.6 e.per_sec
+  | None -> Alcotest.fail "seed prime-probe/sa row missing");
+  (* v2 files written back from their parsed rows are byte-identical:
+     the reader loses nothing and the writer's format is unchanged. *)
+  List.iter
+    (fun (file, write) ->
+      Alcotest.(check string) file (read_text (bench_file file)) (written write))
+    [
+      ("BENCH_cache.baseline.json", fun path -> write ~path cache_base);
+      ("BENCH_attacks.baseline.json", fun path -> Attacks.write ~path att_base);
+      ( "BENCH_e2e.baseline.json",
+        fun path -> E2e.write ~adaptive ~path e2e );
+      ("BENCH_serve.baseline.json", fun path -> Serve_bench.write ~path serve);
+    ];
+  check_rows "cache" to_row of_row (cache_seed @ cache_base);
+  check_rows "attacks" Attacks.to_row Attacks.of_row (att_seed @ att_base);
+  check_rows "e2e" E2e.to_row E2e.of_row e2e;
+  check_rows "adaptive" Adaptive.to_row Adaptive.of_row adaptive;
+  check_rows "serve" Serve_bench.to_row Serve_bench.of_row serve;
+  (* The two row kinds of BENCH_e2e.json do not read as each other. *)
+  Alcotest.(check bool) "e2e and adaptive rows stay apart" true
+    (List.for_all
+       (fun e ->
+         Result.is_error
+           (Result.bind
+              (Cachesec_telemetry.Flat_json.parse_row (Adaptive.to_row e))
+              E2e.of_row))
+       adaptive)
+
+let test_bench_span_header () =
+  let open Throughput in
+  let cache = read ~path:(bench_file "BENCH_cache.baseline.json") in
+  let text = written (fun path -> write ~span_id:7 ~path cache) in
+  with_temp text (fun path ->
+      Alcotest.(check bool) "rows survive the header" true (read ~path = cache);
+      match Cachesec_telemetry.Flat_json.read ~path with
+      | Some { schema; header; _ } ->
+        Alcotest.(check (option string)) "schema" (Some "bench_cache/v2") schema;
+        Alcotest.(check bool) "telemetry_span" true
+          (Cachesec_telemetry.Flat_json.(
+             decode (fun h -> get_int h "telemetry_span") header)
+          = Ok 7)
+      | None -> Alcotest.fail "unreadable")
+
+let ends_with_verdict line =
+  let line = String.trim line in
+  String.ends_with ~suffix:"PASS" line
+  || String.ends_with ~suffix:"FAIL" line
+  || (String.ends_with ~suffix:")" line && contains line "(reported")
+
+(* A hard gate whose goalpost is absent, empty or garbled prints FAIL;
+   it used to print a line without a verdict and pass CI's FAIL grep. *)
+let test_gates_fail_without_goalposts () =
+  let open Throughput in
+  let cache = read ~path:(bench_file "BENCH_cache.baseline.json") in
+  let att = Attacks.read ~path:(bench_file "BENCH_attacks.baseline.json") in
+  let adaptive = Adaptive.read ~path:(bench_file "BENCH_e2e.baseline.json") in
+  let serve = Serve_bench.read ~path:(bench_file "BENCH_serve.baseline.json") in
+  let seed_cache = read_text (bench_file "BENCH_cache.seed.json") in
+  let garbled_cache =
+    (* the sa/lru row cut mid-key, the rest intact *)
+    String.concat "\n"
+      (List.map
+         (fun l ->
+           if contains l "\"policy\": \"lru\"" && contains l "\"arch\": \"sa\""
+           then String.sub l 0 30
+           else l)
+         (String.split_on_char '\n' seed_cache))
+  in
+  let verdict g = Gate.line g in
+  let expect name want g =
+    let line = verdict g in
+    Alcotest.(check bool) (name ^ ": " ^ line) true
+      (contains line want && ends_with_verdict line)
+  in
+  List.iter
+    (fun (name, text) ->
+      with_temp text (fun path ->
+          expect ("bench_cache vs " ^ name) "FAIL" (gate ~baseline:path cache);
+          List.iter
+            (fun g ->
+              expect ("bench_attacks vs " ^ name)
+                (if g.Gate.hard then "FAIL" else "(reported")
+                g)
+            (Attacks.gate ~baseline:path att)))
+    [ ("empty", ""); ("garbage", "{\n  not json\n}\n"); ("garbled sa/lru", garbled_cache) ];
+  expect "bench_cache vs absent" "FAIL" (gate ~baseline:"absent.json" cache);
+  (* Positive controls: the committed rows against the frozen seeds. *)
+  expect "bench_cache vs seed" "PASS"
+    (gate ~baseline:(bench_file "BENCH_cache.seed.json") cache);
+  List.iter
+    (fun g -> expect "bench_attacks vs seed" (if g.Gate.hard then "PASS" else "(reported") g)
+    (Attacks.gate ~baseline:(bench_file "BENCH_attacks.seed.json") att);
+  expect "adaptive, no arms" "FAIL" (Adaptive.gate []);
+  expect "adaptive, one arm" "FAIL" (Adaptive.gate (List.tl adaptive));
+  expect "adaptive, committed arms" "PASS" (Adaptive.gate adaptive);
+  expect "serve, no mixes" "FAIL" (Serve_bench.gate []);
+  expect "serve, no cold mix" "FAIL"
+    (Serve_bench.gate (List.filter (fun (e : Serve_bench.entry) -> e.mix <> "cold") serve));
+  expect "serve, committed mixes" "PASS" (Serve_bench.gate serve);
+  (* e2e stays soft below 4 cores or 4 jobs, value or not; where it is
+     hard, a missing arm fails. *)
+  let row mode jobs cores =
+    { E2e.section = "figures"; mode; jobs; cores; units = 2; seconds = 1. }
+  in
+  expect "e2e, no rows" "(reported: needs" (E2e.gate []);
+  expect "e2e, 2 cores" "(reported: needs"
+    (E2e.gate [ row "sequential" 2 2; row "pipelined" 2 2 ]);
+  expect "e2e, 4 cores, one arm" "FAIL" (E2e.gate [ row "sequential" 4 4 ]);
+  expect "e2e, 4 cores, no gain" "FAIL"
+    (E2e.gate [ row "sequential" 4 4; row "pipelined" 4 4 ]);
+  (* With a value, each line reads as the hand-written line it replaced. *)
+  let with_value x g = Gate.line { g with Gate.value = Some x } in
+  List.iter
+    (fun (want, got) -> Alcotest.(check string) "gate wording" want got)
+    [
+      ( "  gate bench_cache  sa/lru speedup  3.00x >= 2.50x PASS\n",
+        with_value 3. (gate ~baseline:"absent.json" cache) );
+      ( "  gate bench_serve  memo-hit/cold qps ratio   145.3x >= 50.0x PASS\n",
+        with_value 145.3 (Serve_bench.gate []) );
+      ( "  gate e2e          pipelining speedup  1.10x (reported: needs >= 4 \
+         cores and >= 4 jobs for a hard gate)\n",
+        with_value 1.1 (E2e.gate []) );
+      ( "  gate adaptive     trials saved at matched width  1.50x <  2.00x FAIL\n",
+        with_value 1.5 (Adaptive.gate []) );
+    ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -274,6 +474,15 @@ let () =
         [
           Alcotest.test_case "cells quick" `Slow test_validation_cells_quick;
           Alcotest.test_case "render" `Slow test_validation_render;
+        ] );
+      ( "bench files",
+        [
+          Alcotest.test_case "committed goalposts" `Quick
+            test_committed_bench_files;
+          Alcotest.test_case "telemetry_span header" `Quick
+            test_bench_span_header;
+          Alcotest.test_case "gates fail without goalposts" `Quick
+            test_gates_fail_without_goalposts;
         ] );
       ( "ablations",
         [

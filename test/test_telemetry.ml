@@ -163,18 +163,53 @@ let sample_events =
     Event.Counter_total { name = "cache.accesses"; value = 123456 };
   ]
 
+let event_of_line line = Result.bind (Flat_json.parse_row line) Event.of_row
+
 let test_event_line_round_trip () =
+  let odd_name =
+    Event.Gauge
+      { span = 2; name = "q\"uote\\ tab\t nl\n \x01 caf\xc3\xa9"; value = -1.5; t_s = 0. }
+  in
   List.iter
     (fun e ->
-      let line = Event.to_json_line e in
-      match Event.of_json_line line with
-      | Some e' ->
-        Alcotest.(check bool) ("round-trips: " ^ line) true (e = e')
-      | None -> Alcotest.failf "unparseable line: %s" line)
-    sample_events;
+      let line = Event.to_row e in
+      match event_of_line line with
+      | Ok e' -> Alcotest.(check bool) ("round-trips: " ^ line) true (e = e')
+      | Error _ -> Alcotest.failf "unparseable line: %s" line)
+    (odd_name :: sample_events);
+  (* Key order is not part of the format: a row written by hand with its
+     keys shuffled, extra whitespace and a trailing comma is the same
+     event. *)
+  Alcotest.(check bool) "reordered keys" true
+    (event_of_line
+       "  { \"t\":0.75,\"dur\": 0.25, \"domain\": 0, \"total\": 2, \
+        \"index\": 0, \"span\": 1, \"ev\": \"batch_end\" },  "
+    = Ok (List.nth sample_events 3));
   Alcotest.(check bool) "non-event lines rejected" true
-    (Event.of_json_line "{\"schema\": \"telemetry/v1\"}" = None
-    && Event.of_json_line "]" = None)
+    (Result.is_error (event_of_line "{\"schema\": \"telemetry/v1\"}")
+    && event_of_line "]" = Error Flat_json.Not_an_object
+    && event_of_line "{\"ev\": \"nope\", \"name\": \"x\"}"
+       = Error (Flat_json.Bad_value "ev")
+    && event_of_line "{\"ev\": \"counter\", \"name\": \"x\"}"
+       = Error (Flat_json.Missing "value"))
+
+(* The telemetry/v1 bytes of [sample_events] as the Scanf-era writer
+   produced them: the format is unchanged, byte for byte. *)
+let sample_document =
+  {|{
+  "schema": "telemetry/v1",
+  "run": "test",
+  "events": [
+    {"ev": "span_start", "id": 1, "parent": 0, "name": "campaign", "t": 0.500000},
+    {"ev": "gauge", "span": 1, "name": "trials", "value": 5000.000000, "t": 0.500000},
+    {"ev": "batch_start", "span": 1, "index": 0, "total": 2, "domain": 0, "t": 0.500000},
+    {"ev": "batch_end", "span": 1, "index": 0, "total": 2, "domain": 0, "t": 0.750000, "dur": 0.250000},
+    {"ev": "domain_busy", "span": 1, "domain": 0, "busy": 0.250000, "units": 1},
+    {"ev": "span_end", "id": 1, "parent": 0, "name": "campaign", "t": 1.250000, "dur": 0.750000},
+    {"ev": "counter", "name": "cache.accesses", "value": 123456}
+  ]
+}
+|}
 
 let test_json_sink_round_trip () =
   let path = Filename.temp_file "telemetry" ".json" in
@@ -204,7 +239,84 @@ let test_json_sink_round_trip () =
       [ "start:outer"; "gauge:trials"; "end:outer";
         "counter:cache.accesses=7" ]
       names);
-  Sys.remove path
+  (* Byte-exact document for a fixed event list, and back. *)
+  let sink = Sink.json ~run:"test" ~path () in
+  List.iter sink.Sink.emit sample_events;
+  sink.Sink.close ();
+  Alcotest.(check string) "telemetry/v1 bytes" sample_document
+    (In_channel.with_open_text path In_channel.input_all);
+  Alcotest.(check bool) "fixed events read back" true
+    (Sink.read_json ~path = Some ("telemetry/v1", "test", sample_events));
+  (* A truncated tail (a run killed mid-write) keeps every complete
+     event; a file without a schema is not a telemetry file. *)
+  let cut = String.length sample_document - 40 in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (String.sub sample_document 0 cut));
+  Alcotest.(check bool) "truncated file keeps complete events" true
+    (Sink.read_json ~path
+    = Some ("telemetry/v1", "test", List.filteri (fun i _ -> i < 6) sample_events));
+  Out_channel.with_open_text path (fun oc -> output_string oc "garbage\n{\n");
+  Alcotest.(check bool) "no schema, no document" true
+    (Sink.read_json ~path = None);
+  Sys.remove path;
+  Alcotest.(check bool) "absent file" true (Sink.read_json ~path = None)
+
+(* --- Flat_json reader: total on untrusted bytes ---------------------- *)
+
+(* Arbitrary bytes, biased towards the format's own punctuation so the
+   parser gets deep: the result is a row or a named error, never an
+   exception, and a parsed row decodes (or not) without raising. *)
+let flat_json_arbitrary_bytes =
+  let json_ish =
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ '{'; '}'; '"'; ':'; ','; '\\'; 'u'; '0'; 'e';
+                                 'v'; ' '; '['; '-'; '.'; '\n' ])
+        (0 -- 40))
+  in
+  QCheck.Test.make ~count:2000 ~name:"arbitrary bytes: row or named error"
+    QCheck.(make ~print:String.escaped Gen.(oneof [ json_ish; string ]))
+    (fun line ->
+      match Flat_json.parse_row line with
+      | Ok r ->
+        ignore (Event.of_row r);
+        ignore (Throughput.of_row r);
+        true
+      | Error (Flat_json.Not_an_object | Flat_json.Malformed _) -> true
+      | Error (Flat_json.Missing _ | Flat_json.Bad_value _) -> false)
+
+(* A written row reads back as exactly its fields (keys and strings of
+   arbitrary bytes), and every strict prefix of it — a truncated file —
+   is an error, never a different row. *)
+let flat_json_truncation =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (0 -- 10) in
+  let value =
+    oneof
+      [
+        map (fun s -> (Flat_json.str s, Flat_json.String s)) bytes;
+        map (fun i -> (Flat_json.int i, Flat_json.Token (string_of_int i))) int;
+        map
+          (fun k ->
+            let x = Flat_json.fixed 6 (float_of_int k /. 64.) in
+            (x, Flat_json.Token x))
+          int;
+      ]
+  in
+  let fields = list_size (0 -- 5) (pair bytes value) in
+  QCheck.Test.make ~count:500 ~name:"truncated row: error, never another row"
+    (QCheck.make
+       ~print:(fun fs ->
+         String.escaped (Flat_json.row (List.map (fun (k, (v, _)) -> (k, v)) fs)))
+       fields)
+    (fun fs ->
+      let line = Flat_json.row (List.map (fun (k, (v, _)) -> (k, v)) fs) in
+      Flat_json.parse_row line = Ok (List.map (fun (k, (_, v)) -> (k, v)) fs)
+      && List.for_all
+           (fun i ->
+             match Flat_json.parse_row (String.sub line 0 i) with
+             | Error (Flat_json.Not_an_object | Flat_json.Malformed _) -> true
+             | Ok _ | Error _ -> false)
+           (List.init (String.length line) Fun.id))
 
 let test_default_json_path () =
   Alcotest.(check string)
@@ -285,6 +397,11 @@ let () =
           Alcotest.test_case "default path" `Quick test_default_json_path;
           Alcotest.test_case "progress sink smoke" `Quick
             test_progress_sink_smoke;
+        ] );
+      ( "flat_json",
+        [
+          QCheck_alcotest.to_alcotest flat_json_arbitrary_bytes;
+          QCheck_alcotest.to_alcotest flat_json_truncation;
         ] );
       ( "null",
         [
