@@ -238,7 +238,12 @@ let prepas_cmd =
       | Some w ->
         let ctx = { Run.default with Run.seed } in
         let target = cleaning_target ~confidence ~ci_width:w ~samples in
-        let a = Driver.run_cleaning_game_adaptive ctx spec ~accesses:k ~target in
+        let a =
+          Driver.(
+            await
+              (submit_adaptive ctx ~target
+                 (cleaning_game spec ~accesses:k ~samples)))
+        in
         Printf.printf
           "Monte-Carlo estimate (adaptive, %d of %d samples%s) = %s (ci \
            half-width %.4g @ %.0f%%)\n"
@@ -286,7 +291,7 @@ let simulate_cmd =
           lock_victim_tables = lock;
         }
       in
-      let r = Driver.run_evict_time ctx spec cfg in
+      let r = Driver.(await (submit ctx (evict_time spec cfg))) in
       report r.Evict_time.nibble_recovered r.Evict_time.best_candidate
         r.Evict_time.true_byte r.Evict_time.separation
     | Attack_type.Prime_and_probe ->
@@ -300,7 +305,7 @@ let simulate_cmd =
           lock_victim_tables = lock;
         }
       in
-      let r = Driver.run_prime_probe ctx spec cfg in
+      let r = Driver.(await (submit ctx (prime_probe spec cfg))) in
       report r.Prime_probe.nibble_recovered r.Prime_probe.best_candidate
         r.Prime_probe.true_byte r.Prime_probe.separation
     | Attack_type.Cache_collision ->
@@ -312,7 +317,7 @@ let simulate_cmd =
             Option.value trials ~default:Collision.default_config.Collision.trials;
         }
       in
-      let r = Driver.run_collision ctx spec cfg in
+      let r = Driver.(await (submit ctx (collision spec cfg))) in
       report r.Collision.nibble_recovered r.Collision.best_delta
         r.Collision.true_delta r.Collision.separation
     | Attack_type.Flush_and_reload ->
@@ -325,7 +330,7 @@ let simulate_cmd =
               ~default:Flush_reload.default_config.Flush_reload.trials;
         }
       in
-      let r = Driver.run_flush_reload ctx spec cfg in
+      let r = Driver.(await (submit ctx (flush_reload spec cfg))) in
       report r.Flush_reload.nibble_recovered r.Flush_reload.best_candidate
         r.Flush_reload.true_byte r.Flush_reload.separation
   in
@@ -452,8 +457,10 @@ let policy_matrix_cmd =
               (fun k ->
                 let closed = Prepas.for_spec spec ~k in
                 let a =
-                  Driver.run_cleaning_game_adaptive ctx spec ~accesses:k
-                    ~target
+                  Driver.(
+                    await
+                      (submit_adaptive ctx ~target
+                         (cleaning_game spec ~accesses:k ~samples)))
                 in
                 total := !total + a.Driver.trials;
                 caps := !caps + a.Driver.cap;

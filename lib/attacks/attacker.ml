@@ -10,13 +10,6 @@ let nth_conflict_line cfg ?(base = default_base) ~set k =
     invalid_arg "Attacker.nth_conflict_line: bad set";
   base - (base mod sets) + set + (k * sets)
 
-(* Deprecated list form; the error message is frozen (tests pin it). *)
-let conflict_lines cfg ?(base = default_base) ~count set =
-  let sets = Config.sets cfg in
-  if set < 0 || set >= sets then invalid_arg "Attacker.conflict_lines: bad set";
-  let aligned = base - (base mod sets) in
-  List.init count (fun k -> aligned + set + (k * sets))
-
 let evict_set engine ~pid ?(base = default_base) set =
   let cfg = engine.Engine.config in
   let sets = Config.sets cfg in
@@ -35,7 +28,7 @@ type probe = { true_misses : int; classified_misses : int; time : float }
 
 let probe_set engine rng ~pid ?base set =
   let cfg = engine.Engine.config in
-  let lines = conflict_lines cfg ?base ~count:cfg.Config.ways set in
+  let lines = List.init cfg.Config.ways (nth_conflict_line cfg ?base ~set) in
   List.fold_left
     (fun acc line ->
       let o = engine.Engine.access ~pid line in

@@ -12,18 +12,20 @@ open Cachesec_telemetry
    awaited (and tables built) in row order, keeping the rendered output
    bit-identical to the sequential formulation. *)
 let submit_collision (ctx : Run.ctx) spec trials =
-  Driver.submit_collision ctx spec
-    {
-      Collision.default_config with
-      Collision.trials = Figures.trials_for (Figures.scale_of ctx) trials;
-    }
+  Driver.submit ctx
+    (Driver.collision spec
+       {
+         Collision.default_config with
+         Collision.trials = Figures.trials_for (Figures.scale_of ctx) trials;
+       })
 
 let submit_evict_time (ctx : Run.ctx) spec trials =
-  Driver.submit_evict_time ctx spec
-    {
-      Evict_time.default_config with
-      Evict_time.trials = Figures.trials_for (Figures.scale_of ctx) trials;
-    }
+  Driver.submit ctx
+    (Driver.evict_time spec
+       {
+         Evict_time.default_config with
+         Evict_time.trials = Figures.trials_for (Figures.scale_of ctx) trials;
+       })
 
 (* Every sweep is one telemetry span; the Driver campaigns for its cells
    nest under it. *)
@@ -165,10 +167,9 @@ let render_replacement_policy (ctx : Run.ctx) =
       ~rows ()
 
 (* The historical sweep seeds: each sweep has always run under its own
-   default seed (11..15), so the combined report keeps doing the same —
-   [render] re-seeds the shared ctx per sweep rather than reusing
-   [ctx.seed] verbatim, preserving bit-identical output with the
-   deprecated [all]. *)
+   seed (11..15), so [render] re-seeds the shared ctx per sweep rather
+   than reusing [ctx.seed] verbatim, keeping the report's output
+   unchanged. *)
 let rf_window_seed = 11
 let re_interval_seed = 12
 let noise_sigma_seed = 13
@@ -183,35 +184,4 @@ let render (ctx : Run.ctx) =
       render_noise_sigma (Run.with_seed noise_sigma_seed ctx);
       render_nomo_reserved (Run.with_seed nomo_reserved_seed ctx);
       render_replacement_policy (Run.with_seed replacement_policy_seed ctx);
-    ]
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?(scale = Figures.Full) ~seed ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Figures.Quick then Run.quick ctx else ctx
-
-let rf_window ?scale ?(seed = rf_window_seed) ?jobs () =
-  render_rf_window (ctx_of ?scale ~seed ?jobs ())
-
-let re_interval ?scale ?(seed = re_interval_seed) ?jobs () =
-  render_re_interval (ctx_of ?scale ~seed ?jobs ())
-
-let noise_sigma ?scale ?(seed = noise_sigma_seed) ?jobs () =
-  render_noise_sigma (ctx_of ?scale ~seed ?jobs ())
-
-let nomo_reserved ?scale ?(seed = nomo_reserved_seed) ?jobs () =
-  render_nomo_reserved (ctx_of ?scale ~seed ?jobs ())
-
-let replacement_policy ?scale ?(seed = replacement_policy_seed) ?jobs () =
-  render_replacement_policy (ctx_of ?scale ~seed ?jobs ())
-
-let all ?scale ?seed ?jobs () =
-  String.concat "\n"
-    [
-      rf_window ?scale ?seed ?jobs ();
-      re_interval ?scale ?seed ?jobs ();
-      noise_sigma ?scale ?seed ?jobs ();
-      nomo_reserved ?scale ?seed ?jobs ();
-      replacement_policy ?scale ?seed ?jobs ();
     ]

@@ -9,8 +9,6 @@
 
 open Cachesec_runtime
 
-(** {1 Primary ctx-first API} *)
-
 val render_rf_window : Run.ctx -> string
 (** Cache-collision attack vs the random-fill window size: the paper's
     p0 = 1/(Wa+Wb+1) against recovery of the key-byte XOR. *)
@@ -33,31 +31,6 @@ val render_replacement_policy : Run.ctx -> string
     with random replacement. *)
 
 val render : Run.ctx -> string
-(** All five sweeps. Each sweep keeps its historical default seed
-    (11..15) so the combined report is bit-identical to the deprecated
-    [all] with no [?seed]; [ctx] still supplies scale, jobs and
+(** All five sweeps. Each sweep keeps its historical seed (11..15)
+    whatever [ctx.seed] is; [ctx] still supplies scale, jobs and
     telemetry. *)
-
-(** {1 Deprecated optional-tail wrappers}
-
-    [?jobs] follows {!Cachesec_runtime.Scheduler.resolve_jobs} (absent =
-    serial, [0] = auto). *)
-
-val rf_window : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_rf_window with a Run.ctx"]
-
-val re_interval : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_re_interval with a Run.ctx"]
-
-val noise_sigma : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_noise_sigma with a Run.ctx"]
-
-val nomo_reserved : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_nomo_reserved with a Run.ctx"]
-
-val replacement_policy :
-  ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_replacement_policy with a Run.ctx"]
-
-val all : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render with a Run.ctx"]

@@ -4,28 +4,6 @@ open Cachesec_attacks
 open Cachesec_runtime
 open Cachesec_telemetry
 
-let shard_seed ~seed i = Run.seed_for_batch ~seed i
-
-let setup_for ~(ctx : Run.ctx) spec (b : Scheduler.batch) =
-  Setup.make ~seed:(Run.batch_seed ctx b.Scheduler.index) spec
-
-(* Partial-merge is the scheduler's index-order fold: one reduction
-   shared with [Scheduler.run_reduce], so "merge in batch order" has a
-   single definition in the codebase. [what] names the campaign so an
-   empty-plan failure is attributed to its experiment. *)
-let fold_partials ~what merge parts =
-  Scheduler.fold_results ~what:(what ^ " partials") ~merge parts
-
-(* Adapt an in-place [merge_into] to the scheduler's pure-merge shape:
-   both the index-order fold above and [Adaptive.await]'s round fold
-   consume each batch partial exactly once into a running left
-   accumulator, so folding the right side into the left and returning it
-   is equivalent to the pure merge — without allocating a fresh
-   accumulator (3 arrays + a summary per step) per batch. *)
-let in_place merge_into a b =
-  merge_into a b;
-  a
-
 (* --- pending campaigns ------------------------------------------------ *)
 
 (* A campaign whose shards have been dispatched onto the pool but whose
@@ -69,12 +47,16 @@ let collision_batch = 8192
 let flush_reload_batch = 256
 let cleaning_batch = 250
 
-(* Engine counters -> telemetry, sampled once per finished batch (the
-   engines' zero-alloc access path is never touched: [counters ()] takes
-   an ordinary snapshot after the batch's trial slice has run). Each
-   batch owns a fresh engine, so its snapshot is exactly the batch's
-   traffic, and the merged totals are jobs-invariant. *)
-let sample_engine_counters tm (s : Setup.t) =
+(* Engine and attack-trial counters -> telemetry, sampled once per
+   finished batch (the engines' zero-alloc access path is never touched:
+   [counters ()] takes an ordinary snapshot after the batch's trial
+   slice has run). Each batch owns a fresh engine, so its snapshot is
+   exactly the batch's traffic, and the merged totals are
+   jobs-invariant. A global [attacks.trials] plus a per-class
+   [attacks.<class>.trials] record how much attack work each campaign
+   actually executed (and line the attack-throughput bench's counters
+   up with its gauges). *)
+let sample_counters tm (s : Setup.t) ~attack trials =
   if not (Telemetry.is_null tm) then begin
     let c = s.Setup.engine.Engine.counters () in
     Telemetry.count tm "cache.accesses" c.Counters.accesses;
@@ -82,217 +64,170 @@ let sample_engine_counters tm (s : Setup.t) =
     Telemetry.count tm "cache.misses" c.Counters.misses;
     Telemetry.count tm "cache.evictions" c.Counters.evictions;
     Telemetry.count tm "cache.read_throughs" c.Counters.read_throughs;
-    Telemetry.count tm "cache.flushes" c.Counters.flushes
-  end
-
-(* Attack-trial counters, sampled once per finished batch like the
-   engine counters above: a global [attacks.trials] plus a per-class
-   [attacks.<class>.trials], so a TELEMETRY_*.json records how much
-   attack work each campaign actually executed (and the attack-
-   throughput bench's counters line up with its gauges). The counter
-   bump sits outside the trial loop — the zero-allocation fast path is
-   never instrumented. *)
-let sample_attack_counters tm ~attack trials =
-  if not (Telemetry.is_null tm) then begin
+    Telemetry.count tm "cache.flushes" c.Counters.flushes;
     Telemetry.count tm "attacks.trials" trials;
     Telemetry.count tm ("attacks." ^ attack ^ ".trials") trials
   end
 
-(* Common campaign shape, split at the submit/await seam: [submit_campaign]
-   opens the experiment span, plans the batches and dispatches the shard
-   tasks onto the pool (tagged with the span so batch events nest under
-   it) — returning without blocking. The returned pending's join folds
-   the partials in batch order, bumps the driver counters and finalizes.
-   Pipelining across campaigns is calling several [submit_campaign]s
-   before the first [await]; the blocking [run_*] forms are
-   submit-then-await and semantically identical to the pre-pool code. *)
-let submit_campaign ~(ctx : Run.ctx) ~name ~default_batch ~total ~shard ~merge
+(* --- campaigns -------------------------------------------------------- *)
+
+(* One experiment, defined once: everything either run mode needs. The
+   partial type ['p] is existential — only the campaign's own shard,
+   merge, observe and finalize ever see it. [total] is the fixed plan's
+   trial count; an adaptive run replaces it with [target.max_trials].
+   [observe] and [finalize] get the number of trials that actually ran,
+   because some partials (cleaning-game win counts) do not carry their
+   own denominator. *)
+type 'r campaign =
+  | Campaign : {
+      name : string;
+      default_batch : int;
+      total : int;
+      shard : Run.ctx -> Scheduler.batch -> 'p;
+      merge : 'p -> 'p -> 'p;
+      observe : trials:int -> 'p -> Sequential.observation;
+      finalize : Run.ctx -> trials:int -> 'p -> 'r;
+    }
+      -> 'r campaign
+
+(* The four attack campaigns share one shard: a fresh world (engine,
+   victim, RNG) seeded from the batch index, the attack's [run_span]
+   over the batch's slice, counters sampled once the slice has run
+   (the per-class counter is the span name's slug: [evict_time] for
+   [evict-time]). The reference victim finalize scores against (keys,
+   table layout) is a function of the run seed only, identical across
+   batches — see Setup.make. *)
+let attack ~name ~default_batch ~total spec ~run_span ~merge_into ~observe
     ~finalize =
+  let slug = String.map (function '-' -> '_' | ch -> ch) name in
+  Campaign
+    {
+      name = name ^ ":" ^ Spec.name spec;
+      default_batch;
+      total;
+      shard =
+        (fun ctx b ->
+          let s = Setup.make ~seed:(Run.batch_seed ctx b.Scheduler.index) spec in
+          let p = run_span s b in
+          sample_counters ctx.Run.telemetry s ~attack:slug b.Scheduler.count;
+          p);
+      (* Adapt the in-place [merge_into] to the pure-merge shape: both
+         the index-order fold in [submit] and [Adaptive.await]'s round
+         fold consume each batch partial exactly once into a running
+         left accumulator, so folding the right side into the left and
+         returning it is equivalent to the pure merge — without
+         allocating a fresh accumulator per batch. *)
+      merge =
+        (fun a b ->
+          merge_into a b;
+          a);
+      observe = (fun ~trials:_ p -> observe p);
+      finalize =
+        (fun ctx ~trials:_ p ->
+          finalize ~victim:(Setup.make ~seed:ctx.Run.seed spec).Setup.victim p);
+    }
+
+let evict_time spec (c : Evict_time.config) =
+  attack ~name:"evict-time" ~default_batch:evict_time_batch
+    ~total:c.Evict_time.trials spec
+    ~run_span:(fun (s : Setup.t) (b : Scheduler.batch) ->
+      Evict_time.run_span ~victim:s.victim ~attacker_pid:s.attacker_pid
+        ~rng:s.rng ~first:b.first ~count:b.count c)
+    ~merge_into:Evict_time.merge_into ~observe:Evict_time.observe
+    ~finalize:(Evict_time.finalize c)
+
+let prime_probe spec (c : Prime_probe.config) =
+  attack ~name:"prime-probe" ~default_batch:prime_probe_batch
+    ~total:c.Prime_probe.trials spec
+    ~run_span:(fun (s : Setup.t) (b : Scheduler.batch) ->
+      Prime_probe.run_span ~victim:s.victim ~attacker_pid:s.attacker_pid
+        ~rng:s.rng ~count:b.count c)
+    ~merge_into:Prime_probe.merge_into ~observe:Prime_probe.observe
+    ~finalize:(Prime_probe.finalize c)
+
+let collision spec (c : Collision.config) =
+  attack ~name:"collision" ~default_batch:collision_batch
+    ~total:c.Collision.trials spec
+    ~run_span:(fun (s : Setup.t) (b : Scheduler.batch) ->
+      Collision.run_span ~victim:s.victim ~rng:s.rng ~count:b.count c)
+    ~merge_into:Collision.merge_into ~observe:Collision.observe
+    ~finalize:(Collision.finalize c)
+
+let flush_reload spec (c : Flush_reload.config) =
+  attack ~name:"flush-reload" ~default_batch:flush_reload_batch
+    ~total:c.Flush_reload.trials spec
+    ~run_span:(fun (s : Setup.t) (b : Scheduler.batch) ->
+      Flush_reload.run_span ~victim:s.victim ~attacker_pid:s.attacker_pid
+        ~rng:s.rng ~count:b.count c)
+    ~merge_into:Flush_reload.merge_into ~observe:Flush_reload.observe
+    ~finalize:(Flush_reload.finalize c)
+
+(* The pre-PAS cleaning game: each batch plays its games on its own RNG,
+   and the partial is a win count. *)
+let cleaning_game spec ~accesses ~samples =
+  if samples <= 0 then
+    invalid_arg "Driver.cleaning_game: samples must be positive";
+  Campaign
+    {
+      name = "cleaning-game:" ^ Spec.name spec;
+      default_batch = cleaning_batch;
+      total = samples;
+      shard =
+        (fun ctx b ->
+          let rng = Rng.create ~seed:(Run.batch_seed ctx b.Scheduler.index) in
+          Cleaner.count_wins spec ~accesses ~samples:b.Scheduler.count ~rng);
+      merge = ( + );
+      observe =
+        (fun ~trials wins ->
+          Sequential.Proportion { successes = float_of_int wins; trials });
+      finalize =
+        (fun _ ~trials wins -> float_of_int wins /. float_of_int trials);
+    }
+
+(* --- fixed-plan runs -------------------------------------------------- *)
+
+(* The campaign shape, split at the submit/await seam: [submit] opens
+   the experiment span, plans the batches and dispatches the shard tasks
+   onto the pool (tagged with the span so batch events nest under it) —
+   returning without blocking. The returned pending's join folds the
+   partials in batch order, bumps the driver counters and finalizes.
+   Pipelining across campaigns is calling several [submit]s before the
+   first [await]. *)
+let submit (ctx : Run.ctx) (Campaign c) =
   let tm = ctx.Run.telemetry in
-  let sp = Telemetry.span tm ~parent:ctx.Run.parent name in
-  Telemetry.gauge tm ~span:sp "trials" (float_of_int total);
+  let sp = Telemetry.span tm ~parent:ctx.Run.parent c.name in
+  Telemetry.gauge tm ~span:sp "trials" (float_of_int c.total);
   match
-    let batch_size = Option.value ctx.Run.batch ~default:default_batch in
-    let plan = Scheduler.plan ~total ~batch_size in
-    (plan, Scheduler.submit_map ?jobs:ctx.Run.jobs ~tm ~span:sp shard plan)
+    let batch_size = Option.value ctx.Run.batch ~default:c.default_batch in
+    let plan = Scheduler.plan ~total:c.total ~batch_size in
+    (plan, Scheduler.submit_map ?jobs:ctx.Run.jobs ~tm ~span:sp (c.shard ctx) plan)
   with
   | exception e ->
     (* Serial submits run shards eagerly: close the span on the way out. *)
     Telemetry.close_span tm sp;
     raise e
   | plan, shards ->
-    {
-      state =
-        Thunk
-          (fun () ->
-            match Scheduler.await shards with
-            | exception e ->
-              Telemetry.close_span tm sp;
-              raise e
-            | parts ->
-              if not (Telemetry.is_null tm) then begin
-                Telemetry.count tm "driver.batches" (Array.length plan);
-                Telemetry.count tm "driver.trials" total
-              end;
-              let v = finalize (fold_partials ~what:name merge parts) in
-              Telemetry.close_span tm sp;
-              v);
-    }
-
-(* Shard closures are shared between the fixed-count and adaptive
-   submits below: a batch computes the same partial either way — only
-   how many batches run differs. *)
-let evict_time_shard (ctx : Run.ctx) spec (c : Evict_time.config)
-    (b : Scheduler.batch) =
-  let tm = ctx.Run.telemetry in
-  let s = setup_for ~ctx spec b in
-  let p =
-    Evict_time.run_span ~victim:s.Setup.victim
-      ~attacker_pid:s.Setup.attacker_pid ~rng:s.Setup.rng
-      ~first:b.Scheduler.first ~count:b.Scheduler.count c
-  in
-  sample_engine_counters tm s;
-  sample_attack_counters tm ~attack:"evict_time" b.Scheduler.count;
-  p
-
-(* The reference victim (keys, table layout) is a function of the run
-   seed only, identical across batches — see Setup.make. *)
-let victim_of (ctx : Run.ctx) spec =
-  (Setup.make ~seed:ctx.Run.seed spec).Setup.victim
-
-let submit_evict_time (ctx : Run.ctx) spec (c : Evict_time.config) =
-  submit_campaign ~ctx
-    ~name:("evict-time:" ^ Spec.name spec)
-    ~default_batch:evict_time_batch ~total:c.Evict_time.trials
-    ~shard:(evict_time_shard ctx spec c) ~merge:(in_place Evict_time.merge_into)
-    ~finalize:(fun merged ->
-      Evict_time.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_evict_time ctx spec c = await (submit_evict_time ctx spec c)
-
-let prime_probe_shard (ctx : Run.ctx) spec (c : Prime_probe.config)
-    (b : Scheduler.batch) =
-  let tm = ctx.Run.telemetry in
-  let s = setup_for ~ctx spec b in
-  let p =
-    Prime_probe.run_span ~victim:s.Setup.victim
-      ~attacker_pid:s.Setup.attacker_pid ~rng:s.Setup.rng
-      ~count:b.Scheduler.count c
-  in
-  sample_engine_counters tm s;
-  sample_attack_counters tm ~attack:"prime_probe" b.Scheduler.count;
-  p
-
-let submit_prime_probe (ctx : Run.ctx) spec (c : Prime_probe.config) =
-  submit_campaign ~ctx
-    ~name:("prime-probe:" ^ Spec.name spec)
-    ~default_batch:prime_probe_batch ~total:c.Prime_probe.trials
-    ~shard:(prime_probe_shard ctx spec c) ~merge:(in_place Prime_probe.merge_into)
-    ~finalize:(fun merged ->
-      Prime_probe.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_prime_probe ctx spec c = await (submit_prime_probe ctx spec c)
-
-let collision_shard (ctx : Run.ctx) spec (c : Collision.config)
-    (b : Scheduler.batch) =
-  let tm = ctx.Run.telemetry in
-  let s = setup_for ~ctx spec b in
-  let p =
-    Collision.run_span ~victim:s.Setup.victim ~rng:s.Setup.rng
-      ~count:b.Scheduler.count c
-  in
-  sample_engine_counters tm s;
-  sample_attack_counters tm ~attack:"collision" b.Scheduler.count;
-  p
-
-let submit_collision (ctx : Run.ctx) spec (c : Collision.config) =
-  submit_campaign ~ctx
-    ~name:("collision:" ^ Spec.name spec)
-    ~default_batch:collision_batch ~total:c.Collision.trials
-    ~shard:(collision_shard ctx spec c) ~merge:(in_place Collision.merge_into)
-    ~finalize:(fun merged ->
-      Collision.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_collision ctx spec c = await (submit_collision ctx spec c)
-
-let flush_reload_shard (ctx : Run.ctx) spec (c : Flush_reload.config)
-    (b : Scheduler.batch) =
-  let tm = ctx.Run.telemetry in
-  let s = setup_for ~ctx spec b in
-  let p =
-    Flush_reload.run_span ~victim:s.Setup.victim
-      ~attacker_pid:s.Setup.attacker_pid ~rng:s.Setup.rng
-      ~count:b.Scheduler.count c
-  in
-  sample_engine_counters tm s;
-  sample_attack_counters tm ~attack:"flush_reload" b.Scheduler.count;
-  p
-
-let submit_flush_reload (ctx : Run.ctx) spec (c : Flush_reload.config) =
-  submit_campaign ~ctx
-    ~name:("flush-reload:" ^ Spec.name spec)
-    ~default_batch:flush_reload_batch ~total:c.Flush_reload.trials
-    ~shard:(flush_reload_shard ctx spec c) ~merge:(in_place Flush_reload.merge_into)
-    ~finalize:(fun merged ->
-      Flush_reload.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_flush_reload ctx spec c = await (submit_flush_reload ctx spec c)
-
-(* --- pre-PAS cleaning game ------------------------------------------- *)
-
-let cleaning_shard (ctx : Run.ctx) spec ~accesses (b : Scheduler.batch) =
-  let rng = Rng.create ~seed:(Run.batch_seed ctx b.Scheduler.index) in
-  Cleaner.count_wins spec ~accesses ~samples:b.Scheduler.count ~rng
-
-let submit_cleaning_game (ctx : Run.ctx) spec ~accesses ~samples =
-  if samples <= 0 then
-    invalid_arg "Driver.cleaning_game: samples must be positive";
-  submit_campaign ~ctx
-    ~name:("cleaning-game:" ^ Spec.name spec)
-    ~default_batch:cleaning_batch ~total:samples
-    ~shard:(cleaning_shard ctx spec ~accesses) ~merge:( + )
-    ~finalize:(fun wins -> float_of_int wins /. float_of_int samples)
-
-let run_cleaning_game ctx spec ~accesses ~samples =
-  await (submit_cleaning_game ctx spec ~accesses ~samples)
-
-(* --- merged timing statistics ---------------------------------------- *)
-
-let timing_batch = 512
-
-let timing_shard ~lo ~hi ~bins (ctx : Run.ctx) spec (b : Scheduler.batch) =
-  let tm = ctx.Run.telemetry in
-  let s = setup_for ~ctx spec b in
-  let h = Histogram.create ~lo ~hi ~bins in
-  let sum = Summary.create () in
-  for _ = 1 to b.Scheduler.count do
-    let p = Victim.random_plaintext s.Setup.rng in
-    let _, time = Victim.encrypt_timed s.Setup.victim p in
-    let sigma = s.Setup.engine.Engine.sigma in
-    let observed =
-      if sigma = 0. then time
-      else time +. Rng.gaussian s.Setup.rng ~mu:0. ~sigma
-    in
-    Histogram.add h observed;
-    Summary.add sum observed
-  done;
-  sample_engine_counters tm s;
-  (h, sum)
-
-let timing_merge (ha, sa) (hb, sb) =
-  (Histogram.merge ha hb, Summary.merge sa sb)
-
-let submit_timing_stats ?(lo = 0.) ?(hi = 40.) ?(bins = 80) (ctx : Run.ctx)
-    spec ~trials () =
-  if trials <= 0 then invalid_arg "Driver.timing_stats: trials must be positive";
-  submit_campaign ~ctx
-    ~name:("timing-stats:" ^ Spec.name spec)
-    ~default_batch:timing_batch ~total:trials
-    ~shard:(timing_shard ~lo ~hi ~bins ctx spec) ~merge:timing_merge
-    ~finalize:Fun.id
-
-let run_timing_stats ?lo ?hi ?bins ctx spec ~trials () =
-  await (submit_timing_stats ?lo ?hi ?bins ctx spec ~trials ())
+    pending_of_thunk (fun () ->
+        match Scheduler.await shards with
+        | exception e ->
+          Telemetry.close_span tm sp;
+          raise e
+        | parts ->
+          if not (Telemetry.is_null tm) then begin
+            Telemetry.count tm "driver.batches" (Array.length plan);
+            Telemetry.count tm "driver.trials" c.total
+          end;
+          (* The scheduler's index-order fold, shared with
+             [Scheduler.run_reduce]: "merge in batch order" has one
+             definition. [what] attributes an empty-plan failure to the
+             campaign. *)
+          let merged =
+            Scheduler.fold_results ~what:(c.name ^ " partials") ~merge:c.merge
+              parts
+          in
+          let v = c.finalize ctx ~trials:c.total merged in
+          Telemetry.close_span tm sp;
+          v)
 
 (* --- adaptive (run-to-confidence) campaigns --------------------------- *)
 
@@ -314,22 +249,22 @@ type 'a adaptive = {
 let adaptive_batch ~default_batch ~cap =
   Stdlib.max 1 (Stdlib.min default_batch ((cap + 7) / 8))
 
-(* The adaptive analogue of [submit_campaign]: same span/telemetry
-   shape, but the batch plan is partitioned into geometric rounds and
-   the pending's join drives [Adaptive.await], recording how many
-   trials actually ran. [observe] maps cumulative merged partials to
-   the estimator the stopping rule tests; it sees the cumulative trial
-   count because some partials (cleaning-game win counts) do not carry
-   their own denominator. *)
-let submit_adaptive_campaign ~(ctx : Run.ctx) ~name ~default_batch
-    ~(target : Sequential.target) ~shard ~merge ~observe ~finalize =
+(* The adaptive analogue of [submit]: same span/telemetry shape, but the
+   batch plan is partitioned into geometric rounds and the pending's
+   join drives [Adaptive.await], recording how many trials actually
+   ran. The campaign's [observe] maps cumulative merged partials to the
+   estimator the stopping rule tests. *)
+let submit_adaptive (ctx : Run.ctx) ~(target : Sequential.target)
+    (Campaign c) =
+  let name = c.name ^ ":adaptive" in
   let cap = target.Sequential.max_trials in
   let tm = ctx.Run.telemetry in
   let sp = Telemetry.span tm ~parent:ctx.Run.parent name in
   Telemetry.gauge tm ~span:sp "trials_cap" (float_of_int cap);
   match
     let batch_size =
-      Option.value ctx.Run.batch ~default:(adaptive_batch ~default_batch ~cap)
+      Option.value ctx.Run.batch
+        ~default:(adaptive_batch ~default_batch:c.default_batch ~cap)
     in
     let plan =
       Adaptive.plan
@@ -337,11 +272,11 @@ let submit_adaptive_campaign ~(ctx : Run.ctx) ~name ~default_batch
         ~total:cap ~batch_size ()
     in
     let keep_going ~trials merged =
-      Sequential.decide target ~trials (observe ~trials merged)
+      Sequential.decide target ~trials (c.observe ~trials merged)
       = Sequential.Continue
     in
-    Adaptive.submit ?jobs:ctx.Run.jobs ~tm ~span:sp ~what:name ~shard ~merge
-      ~keep_going plan
+    Adaptive.submit ?jobs:ctx.Run.jobs ~tm ~span:sp ~what:name
+      ~shard:(c.shard ctx) ~merge:c.merge ~keep_going plan
   with
   | exception e ->
     Telemetry.close_span tm sp;
@@ -364,12 +299,12 @@ let submit_adaptive_campaign ~(ctx : Run.ctx) ~name ~default_batch
           end;
           let achieved =
             Sequential.achieved
-              (observe ~trials prog.Adaptive.merged)
+              (c.observe ~trials prog.Adaptive.merged)
               ~confidence:target.Sequential.confidence
           in
           let v =
             {
-              value = finalize ~trials prog.Adaptive.merged;
+              value = c.finalize ctx ~trials prog.Adaptive.merged;
               trials;
               cap;
               rounds = prog.Adaptive.rounds_run;
@@ -380,101 +315,3 @@ let submit_adaptive_campaign ~(ctx : Run.ctx) ~name ~default_batch
           Telemetry.close_span tm sp;
           v)
 
-let submit_evict_time_adaptive (ctx : Run.ctx) spec ~target
-    (c : Evict_time.config) =
-  submit_adaptive_campaign ~ctx
-    ~name:("evict-time:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:evict_time_batch ~target
-    ~shard:(evict_time_shard ctx spec c) ~merge:(in_place Evict_time.merge_into)
-    ~observe:(fun ~trials:_ p -> Evict_time.observe p)
-    ~finalize:(fun ~trials:_ merged ->
-      Evict_time.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_evict_time_adaptive ctx spec ~target c =
-  await (submit_evict_time_adaptive ctx spec ~target c)
-
-let submit_prime_probe_adaptive (ctx : Run.ctx) spec ~target
-    (c : Prime_probe.config) =
-  submit_adaptive_campaign ~ctx
-    ~name:("prime-probe:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:prime_probe_batch ~target
-    ~shard:(prime_probe_shard ctx spec c) ~merge:(in_place Prime_probe.merge_into)
-    ~observe:(fun ~trials:_ p -> Prime_probe.observe p)
-    ~finalize:(fun ~trials:_ merged ->
-      Prime_probe.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_prime_probe_adaptive ctx spec ~target c =
-  await (submit_prime_probe_adaptive ctx spec ~target c)
-
-let submit_collision_adaptive (ctx : Run.ctx) spec ~target
-    (c : Collision.config) =
-  submit_adaptive_campaign ~ctx
-    ~name:("collision:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:collision_batch ~target
-    ~shard:(collision_shard ctx spec c) ~merge:(in_place Collision.merge_into)
-    ~observe:(fun ~trials:_ p -> Collision.observe p)
-    ~finalize:(fun ~trials:_ merged ->
-      Collision.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_collision_adaptive ctx spec ~target c =
-  await (submit_collision_adaptive ctx spec ~target c)
-
-let submit_flush_reload_adaptive (ctx : Run.ctx) spec ~target
-    (c : Flush_reload.config) =
-  submit_adaptive_campaign ~ctx
-    ~name:("flush-reload:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:flush_reload_batch ~target
-    ~shard:(flush_reload_shard ctx spec c) ~merge:(in_place Flush_reload.merge_into)
-    ~observe:(fun ~trials:_ p -> Flush_reload.observe p)
-    ~finalize:(fun ~trials:_ merged ->
-      Flush_reload.finalize ~victim:(victim_of ctx spec) c merged)
-
-let run_flush_reload_adaptive ctx spec ~target c =
-  await (submit_flush_reload_adaptive ctx spec ~target c)
-
-let submit_cleaning_game_adaptive (ctx : Run.ctx) spec ~accesses ~target =
-  submit_adaptive_campaign ~ctx
-    ~name:("cleaning-game:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:cleaning_batch ~target
-    ~shard:(cleaning_shard ctx spec ~accesses) ~merge:( + )
-    ~observe:(fun ~trials wins ->
-      Sequential.Proportion { successes = float_of_int wins; trials })
-    ~finalize:(fun ~trials wins -> float_of_int wins /. float_of_int trials)
-
-let run_cleaning_game_adaptive ctx spec ~accesses ~target =
-  await (submit_cleaning_game_adaptive ctx spec ~accesses ~target)
-
-let submit_timing_stats_adaptive ?(lo = 0.) ?(hi = 40.) ?(bins = 80)
-    (ctx : Run.ctx) spec ~target () =
-  submit_adaptive_campaign ~ctx
-    ~name:("timing-stats:" ^ Spec.name spec ^ ":adaptive")
-    ~default_batch:timing_batch ~target
-    ~shard:(timing_shard ~lo ~hi ~bins ctx spec) ~merge:timing_merge
-    ~observe:(fun ~trials:_ (_, sum) -> Sequential.Mean_rel sum)
-    ~finalize:(fun ~trials:_ r -> r)
-
-let run_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target () =
-  await (submit_timing_stats_adaptive ?lo ?hi ?bins ctx spec ~target ())
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?jobs ?batch ~seed () =
-  { Run.default with Run.seed; jobs; batch }
-
-let evict_time ?jobs ?batch ~seed spec c =
-  run_evict_time (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let prime_probe ?jobs ?batch ~seed spec c =
-  run_prime_probe (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let collision ?jobs ?batch ~seed spec c =
-  run_collision (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let flush_reload ?jobs ?batch ~seed spec c =
-  run_flush_reload (ctx_of ?jobs ?batch ~seed ()) spec c
-
-let cleaning_game ?jobs ?batch ~seed spec ~accesses ~samples =
-  run_cleaning_game (ctx_of ?jobs ?batch ~seed ()) spec ~accesses ~samples
-
-let timing_stats ?jobs ?batch ?lo ?hi ?bins ~seed spec ~trials () =
-  run_timing_stats ?lo ?hi ?bins (ctx_of ?jobs ?batch ~seed ()) spec ~trials ()

@@ -1,9 +1,10 @@
 (** The trial runtime's experiments-side driver.
 
-    Every Monte-Carlo experiment in this layer is expressed as a batch
-    plan over the trial index space ({!Cachesec_runtime.Scheduler.plan}):
-    each batch builds its own fully independent world — a fresh
-    {!Setup.t} (engine, victim, RNG) seeded from the pure hash
+    Every Monte-Carlo experiment in this layer is one {!campaign} value:
+    a batch plan over the trial index space
+    ({!Cachesec_runtime.Scheduler.plan}) in which each batch builds its
+    own fully independent world — a fresh {!Setup.t} (engine, victim,
+    RNG) seeded from the pure hash
     {!Cachesec_runtime.Run.seed_for_batch} — runs the attack's
     [run_span] over its slice, and the mergeable partials are folded
     back together in batch order. Because the plan and the seeds depend
@@ -11,29 +12,27 @@
     [jobs:1] and [jobs:n] produces bit-identical results; [jobs] buys
     wall-clock only.
 
-    The primary API is ctx-first ([run_*]): one
-    {!Cachesec_runtime.Run.ctx} carries seed, worker count, batch
-    override and telemetry. With an active telemetry context each
-    campaign is wrapped in a span (nested under [ctx.parent], carrying a
-    [trials] gauge), the scheduler emits per-batch and per-domain
-    events under it, and the engines' {!Cachesec_cache.Counters} are
-    sampled into telemetry counters once per finished batch — the
-    per-access hot path is never instrumented.
-
-    Since the pool refactor every campaign also comes in a non-blocking
-    [submit_*] form returning an ['a pending]: the campaign's span is
-    opened and its shard tasks dispatched onto the persistent
+    A campaign runs in one of two ways: {!submit} executes its fixed
+    plan, {!submit_adaptive} stops at a confidence target. Both take one
+    {!Cachesec_runtime.Run.ctx} (seed, worker count, batch override,
+    telemetry) and return an ['a pending]: the campaign's span is opened
+    and its shard tasks dispatched onto the persistent
     {!Cachesec_runtime.Pool} immediately, while the batch-order merge,
-    driver counters and finalize run at {!await}. Submitting several
-    campaigns before the first await pipelines them — their shards share
-    the one pool queue, so workers never idle at a campaign's join
-    barrier while another campaign has runnable shards. Results are
-    bit-identical between sequential and pipelined execution (merges are
-    deferred, never reordered); with [jobs <= 1] a [submit_*] runs
-    eagerly and pipelining degrades to the sequential order.
+    driver counters and finalize run at {!await}. The blocking form is
+    [await (submit ctx c)]. Submitting several campaigns before the
+    first await pipelines them — their shards share the one pool queue,
+    so workers never idle at a campaign's join barrier while another
+    campaign has runnable shards. Results are bit-identical between
+    sequential and pipelined execution (merges are deferred, never
+    reordered); with [jobs <= 1] a submit runs eagerly and pipelining
+    degrades to the sequential order.
 
-    The old [?jobs ?batch ~seed] optional tails survive as thin
-    deprecated wrappers. *)
+    With an active telemetry context each campaign is wrapped in a span
+    named after it (nested under [ctx.parent]), the scheduler emits
+    per-batch and per-domain events under it, and the engines'
+    {!Cachesec_cache.Counters} are sampled into telemetry counters once
+    per finished batch — the per-access hot path is never
+    instrumented. *)
 
 open Cachesec_cache
 open Cachesec_attacks
@@ -69,61 +68,47 @@ val map_pending : ('a -> 'b) -> 'a pending -> 'b pending
 (** Post-process a campaign's result at await time (e.g. wrap a raw
     attack result into a report cell) without forcing the join now. *)
 
-(** {1 Primary ctx-first API}
+(** {1 Campaigns} *)
 
-    Each experiment has a blocking [run_*] ≡ [await ∘ submit_*]. *)
+type 'r campaign
+(** One experiment producing an ['r]: its span name, default batch
+    size, trial total, per-batch shard, batch-order merge, stopping
+    estimator and finalize. The partial type the shards produce is
+    hidden. Building a campaign runs nothing. *)
 
-val submit_evict_time :
-  Run.ctx -> Spec.t -> Evict_time.config -> Evict_time.result pending
+val evict_time : Spec.t -> Evict_time.config -> Evict_time.result campaign
+(** Span [evict-time:<cache>]. Stops (adaptively) on the mean observed
+    encryption time ({!Evict_time.observe}, relative half-width). *)
 
-val submit_prime_probe :
-  Run.ctx -> Spec.t -> Prime_probe.config -> Prime_probe.result pending
+val prime_probe : Spec.t -> Prime_probe.config -> Prime_probe.result campaign
+(** Span [prime-probe:<cache>]. Stops on the best candidate's per-trial
+    hit rate ({!Prime_probe.observe}, Wilson half-width). *)
 
-val submit_collision :
-  Run.ctx -> Spec.t -> Collision.config -> Collision.result pending
+val collision : Spec.t -> Collision.config -> Collision.result campaign
+(** Span [collision:<cache>]; stops on {!Collision.observe}. *)
 
-val submit_flush_reload :
-  Run.ctx -> Spec.t -> Flush_reload.config -> Flush_reload.result pending
+val flush_reload :
+  Spec.t -> Flush_reload.config -> Flush_reload.result campaign
+(** Span [flush-reload:<cache>]; stops on {!Flush_reload.observe}. *)
 
-val submit_cleaning_game :
-  Run.ctx -> Spec.t -> accesses:int -> samples:int -> float pending
+val cleaning_game : Spec.t -> accesses:int -> samples:int -> float campaign
+(** Sharded {!Cleaner.monte_carlo}, span [cleaning-game:<cache>]: the
+    fraction of cleaning-game wins over [samples] independent games of
+    [accesses] attacker reads. Stops on the win rate's Wilson
+    half-width. Raises [Invalid_argument] unless [samples > 0]. *)
 
-val submit_timing_stats :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t -> trials:int ->
-  unit -> (Histogram.t * Summary.t) pending
-
-val run_evict_time :
-  Run.ctx -> Spec.t -> Evict_time.config -> Evict_time.result
-
-val run_prime_probe :
-  Run.ctx -> Spec.t -> Prime_probe.config -> Prime_probe.result
-
-val run_collision : Run.ctx -> Spec.t -> Collision.config -> Collision.result
-
-val run_flush_reload :
-  Run.ctx -> Spec.t -> Flush_reload.config -> Flush_reload.result
-
-val run_cleaning_game :
-  Run.ctx -> Spec.t -> accesses:int -> samples:int -> float
-(** Sharded {!Cleaner.monte_carlo}: fraction of cleaning-game wins over
-    [samples] independent games of [accesses] attacker reads. *)
-
-val run_timing_stats :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t -> trials:int ->
-  unit -> Histogram.t * Summary.t
-(** Distribution of observed whole-encryption times over random
-    plaintexts (the simulated counterpart of the paper's hit/miss timing
-    separation): per-batch histograms and summaries merged with
-    {!Histogram.merge} / {!Summary.merge}. *)
+val submit : Run.ctx -> 'r campaign -> 'r pending
+(** Run the campaign's fixed plan of [trials] (the attack config's
+    [trials], or [samples]). The span carries a [trials] gauge. *)
 
 (** {1 Adaptive (run-to-confidence) campaigns}
 
-    Each adaptive variant executes the same batch plan as a fixed
-    campaign capped at [target.max_trials], but partitioned into
+    {!submit_adaptive} executes the same batch plan as a fixed campaign
+    capped at [target.max_trials], but partitioned into
     deterministic geometrically-growing rounds
     ({!Cachesec_runtime.Adaptive}): after each round the cumulative
-    batch-order merge is handed to the attack's estimator hook
-    ([observe]) and {!Cachesec_stats.Sequential.decide} chooses between
+    batch-order merge is handed to the campaign's stopping estimator
+    and {!Cachesec_stats.Sequential.decide} chooses between
     stopping and dispatching the next round. The decision is a function
     of [(seed, round plan, merged estimate)] only — never of [jobs] —
     so adaptive runs keep the jobs:1 ≡ jobs:N and sequential ≡
@@ -132,8 +117,8 @@ val run_timing_stats :
     Adaptive campaigns default to a finer batch size
     ([min default_batch (ceil (cap / 8))]) so quick-scale caps contain
     several round boundaries; [ctx.batch] still overrides it. The
-    attack config's own [trials] field is ignored — the cap is
-    [target.max_trials].
+    campaign's own total (the attack config's [trials], the cleaning
+    game's [samples]) is ignored — the cap is [target.max_trials].
 
     Telemetry: the campaign span carries a [trials_cap] gauge at submit
     and a [trials] gauge (actual executed, post-early-stop) at await;
@@ -153,98 +138,6 @@ type 'a adaptive = {
           {!Cachesec_stats.Sequential.achieved}) *)
 }
 
-val submit_evict_time_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Evict_time.config ->
-  Evict_time.result adaptive pending
-(** Stops on the mean observed encryption time ({!Evict_time.observe},
-    relative half-width). *)
-
-val submit_prime_probe_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Prime_probe.config ->
-  Prime_probe.result adaptive pending
-(** Stops on the best candidate's per-trial hit rate
-    ({!Prime_probe.observe}, Wilson half-width). *)
-
-val submit_collision_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Collision.config ->
-  Collision.result adaptive pending
-
-val submit_flush_reload_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Flush_reload.config ->
-  Flush_reload.result adaptive pending
-
-val submit_cleaning_game_adaptive :
-  Run.ctx -> Spec.t -> accesses:int -> target:Sequential.target ->
-  float adaptive pending
-(** Stops on the win rate's Wilson half-width; the cap replaces the
-    fixed [samples] argument. *)
-
-val submit_timing_stats_adaptive :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t ->
-  target:Sequential.target -> unit ->
-  (Histogram.t * Summary.t) adaptive pending
-(** Stops on the merged summary's relative mean half-width. *)
-
-val run_evict_time_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Evict_time.config ->
-  Evict_time.result adaptive
-
-val run_prime_probe_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Prime_probe.config ->
-  Prime_probe.result adaptive
-
-val run_collision_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Collision.config ->
-  Collision.result adaptive
-
-val run_flush_reload_adaptive :
-  Run.ctx -> Spec.t -> target:Sequential.target -> Flush_reload.config ->
-  Flush_reload.result adaptive
-
-val run_cleaning_game_adaptive :
-  Run.ctx -> Spec.t -> accesses:int -> target:Sequential.target ->
-  float adaptive
-
-val run_timing_stats_adaptive :
-  ?lo:float -> ?hi:float -> ?bins:int -> Run.ctx -> Spec.t ->
-  target:Sequential.target -> unit -> (Histogram.t * Summary.t) adaptive
-
-(** {1 Deprecated optional-tail wrappers}
-
-    Bit-identical to the ctx API for equal [(seed, batch, jobs)] —
-    enforced by [test_runtime]'s old-vs-new equivalence cases. *)
-
-val shard_seed : seed:int -> int -> int
-[@@alert deprecated "use Cachesec_runtime.Run.seed_for_batch"]
-(** Alias of {!Cachesec_runtime.Run.seed_for_batch}, the single point of
-    batch-seed derivation. *)
-
-val evict_time :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Evict_time.config ->
-  Evict_time.result
-[@@alert deprecated "use run_evict_time with a Run.ctx"]
-
-val prime_probe :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Prime_probe.config ->
-  Prime_probe.result
-[@@alert deprecated "use run_prime_probe with a Run.ctx"]
-
-val collision :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Collision.config ->
-  Collision.result
-[@@alert deprecated "use run_collision with a Run.ctx"]
-
-val flush_reload :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> Flush_reload.config ->
-  Flush_reload.result
-[@@alert deprecated "use run_flush_reload with a Run.ctx"]
-
-val cleaning_game :
-  ?jobs:int -> ?batch:int -> seed:int -> Spec.t -> accesses:int ->
-  samples:int -> float
-[@@alert deprecated "use run_cleaning_game with a Run.ctx"]
-
-val timing_stats :
-  ?jobs:int -> ?batch:int -> ?lo:float -> ?hi:float -> ?bins:int ->
-  seed:int -> Spec.t -> trials:int -> unit -> Histogram.t * Summary.t
-[@@alert deprecated "use run_timing_stats with a Run.ctx"]
+val submit_adaptive :
+  Run.ctx -> target:Sequential.target -> 'r campaign -> 'r adaptive pending
+(** Run the campaign to [target], under the span [<name>:adaptive]. *)

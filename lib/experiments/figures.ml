@@ -14,12 +14,6 @@ let trials_for scale n =
 
 let scale_of (ctx : Run.ctx) = if ctx.Run.quick then Quick else Full
 
-(* Deprecated-wrapper plumbing: lift an old [?scale ?seed ?jobs] tail
-   into a ctx. *)
-let ctx_of ?(scale = Full) ~seed ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Quick then Run.quick ctx else ctx
-
 let figure4 () =
   let sigmas = List.init 31 (fun i -> float_of_int i /. 10.) in
   let series =
@@ -92,7 +86,8 @@ let render_figure9 ?(pipeline = true) (ctx : Run.ctx) =
         Evict_time.trials = trials_for (scale_of ctx) 50000;
       }
     in
-    Driver.map_pending (fun r -> (spec, r)) (Driver.submit_evict_time ctx spec config)
+    Driver.map_pending (fun r -> (spec, r))
+      (Driver.submit ctx (Driver.evict_time spec config))
   in
   let run spec = Driver.await (submit spec) in
   let render (spec, (r : Evict_time.result)) =
@@ -148,7 +143,7 @@ let render_figure10 ?(pipeline = true) (ctx : Run.ctx) =
         lock_victim_tables = (match spec with Spec.Pl _ -> true | _ -> false);
       }
     in
-    Driver.submit_prime_probe ctx spec config
+    Driver.submit ctx (Driver.prime_probe spec config)
   in
   let emit spec (r : Prime_probe.result) =
     let normalized = Recovery.normalize r.Prime_probe.scores in
@@ -209,8 +204,8 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
             (fun ki k ->
               let cell_seed = Rng.derive_seed seed ((si * nks) + ki + 1) in
               Driver.map_pending Table.fmt_prob
-                (Driver.submit_cleaning_game (Run.with_seed cell_seed ctx)
-                   spec ~accesses:k ~samples))
+                (Driver.submit (Run.with_seed cell_seed ctx)
+                   (Driver.cleaning_game spec ~accesses:k ~samples)))
             ks
         in
         (spec, analytical, empirical))
@@ -231,14 +226,3 @@ let render_prepas_crosscheck (ctx : Run.ctx) =
    (RE shown 8-way to exhibit the free-lunch effect; RP's Monte Carlo is \n\
    lower than the closed form by design - see DESIGN.md)\n"
   ^ Table.render ~headers ~rows ()
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let figure9 ?scale ?(seed = 42) ?jobs () =
-  render_figure9 (ctx_of ?scale ~seed ?jobs ())
-
-let figure10 ?scale ?(seed = 42) ?jobs () =
-  render_figure10 (ctx_of ?scale ~seed ?jobs ())
-
-let prepas_crosscheck ?scale ?(seed = 7) ?jobs () =
-  render_prepas_crosscheck (ctx_of ?scale ~seed ?jobs ())

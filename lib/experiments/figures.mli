@@ -5,11 +5,10 @@
     simulator (the substitute for the simulation studies the paper cites
     in Section 6).
 
-    The experimental figures come in two flavours: ctx-first primaries
-    ([render_*]) that take one {!Cachesec_runtime.Run.ctx} (seed, jobs,
-    telemetry, quick-scale), and thin deprecated wrappers with the old
-    optional tails. Each [render_*] wraps its work in a telemetry span
-    named after the figure, nested under [ctx.parent]. *)
+    The experimental figures ([render_*]) take one
+    {!Cachesec_runtime.Run.ctx} (seed, jobs, telemetry, quick-scale).
+    Each [render_*] wraps its work in a telemetry span named after the
+    figure, nested under [ctx.parent]. *)
 
 open Cachesec_runtime
 
@@ -35,7 +34,7 @@ val figure8 : ?policy:Cachesec_cache.Policy.t -> unit -> string
 val figure8_series : ks:int list -> (string * (int * float) list) list
 (** The data behind {!figure8} (exposed for CSV export and tests). *)
 
-(** {1 Primary ctx-first API} *)
+(** {1 Simulated figures} *)
 
 val render_figure9 : ?pipeline:bool -> Run.ctx -> string
 (** Evict-and-time validation on the conventional SA cache vs Newcache:
@@ -57,14 +56,3 @@ val render_prepas_crosscheck : Run.ctx -> string
     runs its sample budget through the trial runtime under a seed
     derived from [ctx.seed]; all 40 cells' campaigns are submitted onto
     the pool before the first await. *)
-
-(** {1 Deprecated optional-tail wrappers} *)
-
-val figure9 : ?scale:scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_figure9 with a Run.ctx"]
-
-val figure10 : ?scale:scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_figure10 with a Run.ctx"]
-
-val prepas_crosscheck : ?scale:scale -> ?seed:int -> ?jobs:int -> unit -> string
-[@@alert deprecated "use render_prepas_crosscheck with a Run.ctx"]

@@ -13,14 +13,13 @@ type curve = {
   points : (int * float) list;  (** (trials, recovery frequency) *)
 }
 
-(** {1 Primary ctx-first API} *)
-
 val curve : ?seeds:int -> ?grid:int list -> Run.ctx -> Cachesec_cache.Spec.t -> curve
 (** Defaults: 8 seeds, trials grid [50; 100; ...; 3200]. The
     (trials x seed) campaigns fan out over the Domain-parallel trial
     runtime under a span [learning-curve:<cache>]; the curve is
     independent of [ctx.jobs] (each campaign keeps its legacy
-    per-instance [ctx.seed + 1000 i] seed). *)
+    per-instance [ctx.seed + 1000 i] seed). Raises [Invalid_argument]
+    unless [seeds > 0]. *)
 
 val standard_specs : Cachesec_cache.Spec.t list
 (** SA (PAS 1.0), RE (0.9998), Noisy (0.691), RF (7.75e-3),
@@ -32,20 +31,3 @@ val curves : ?seeds:int -> Run.ctx -> curve list
 
 val render : curve list -> string
 val csv_rows : curve list -> string list list
-
-(** {1 Deprecated optional-tail wrappers}
-
-    Historical default seed 61; [?jobs] follows
-    {!Cachesec_runtime.Scheduler.resolve_jobs}. *)
-
-val run_curve :
-  ?seed:int ->
-  ?seeds:int ->
-  ?jobs:int ->
-  ?grid:int list ->
-  Cachesec_cache.Spec.t ->
-  curve
-[@@alert deprecated "use curve with a Run.ctx"]
-
-val table : ?seed:int -> ?seeds:int -> ?jobs:int -> unit -> curve list
-[@@alert deprecated "use curves with a Run.ctx"]

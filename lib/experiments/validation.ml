@@ -56,8 +56,8 @@ let lock_for spec =
    the attack campaign's shards dispatched onto the pool now; building
    the cell record (and closing its span) happens at [Driver.await].
 
-   With [?adaptive] the cell's campaign runs through the Driver's
-   run-to-confidence variants instead: same per-cell trial budget, but
+   With [?adaptive] the cell's campaign runs through
+   [Driver.submit_adaptive] instead: same per-cell trial budget, but
    as the cap of a sequential-stopping target. [ci_width = 0.] never
    stops early — the campaign runs to cap on the adaptive batch plan,
    which is how the bench's fixed arm measures achieved widths on a
@@ -75,19 +75,20 @@ let target_for adaptive cap =
    (recovered, separation, trials executed, cap, achieved half-width).
    Fixed campaigns execute exactly their plan and measure no interval,
    so trials = cap and the width is [nan]. *)
-let fixed_arm extract cap p =
-  Driver.map_pending
-    (fun r ->
-      let recovered, separation = extract r in
-      (recovered, separation, cap, cap, nan))
-    p
-
-let adaptive_arm extract p =
-  Driver.map_pending
-    (fun (a : _ Driver.adaptive) ->
-      let recovered, separation = extract a.Driver.value in
-      (recovered, separation, a.Driver.trials, a.Driver.cap, a.Driver.achieved))
-    p
+let submit_arm ?adaptive ctx ~cap campaign extract =
+  match target_for adaptive cap with
+  | None ->
+    Driver.map_pending
+      (fun r ->
+        let recovered, separation = extract r in
+        (recovered, separation, cap, cap, nan))
+      (Driver.submit ctx campaign)
+  | Some target ->
+    Driver.map_pending
+      (fun (a : _ Driver.adaptive) ->
+        let recovered, separation = extract a.Driver.value in
+        (recovered, separation, a.Driver.trials, a.Driver.cap, a.Driver.achieved))
+      (Driver.submit_adaptive ctx ~target campaign)
 
 let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
   let tm = ctx.Run.telemetry in
@@ -109,11 +110,8 @@ let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
           lock_victim_tables = lock_for spec;
         }
       in
-      let ex r = (r.Evict_time.nibble_recovered, r.Evict_time.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_evict_time ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_evict_time_adaptive ctx spec ~target c))
+      submit_arm ?adaptive ctx ~cap (Driver.evict_time spec c) (fun r ->
+          (r.Evict_time.nibble_recovered, r.Evict_time.separation))
     | Attack_type.Prime_and_probe ->
       let cap = t 3000 in
       let c =
@@ -123,30 +121,18 @@ let submit_cell ?adaptive (ctx : Run.ctx) spec attack =
           lock_victim_tables = lock_for spec;
         }
       in
-      let ex r = (r.Prime_probe.nibble_recovered, r.Prime_probe.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_prime_probe ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_prime_probe_adaptive ctx spec ~target c))
+      submit_arm ?adaptive ctx ~cap (Driver.prime_probe spec c) (fun r ->
+          (r.Prime_probe.nibble_recovered, r.Prime_probe.separation))
     | Attack_type.Cache_collision ->
       let cap = t 250000 in
       let c = { Collision.default_config with Collision.trials = cap } in
-      let ex r = (r.Collision.nibble_recovered, r.Collision.separation) in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_collision ctx spec c)
-      | Some target ->
-        adaptive_arm ex (Driver.submit_collision_adaptive ctx spec ~target c))
+      submit_arm ?adaptive ctx ~cap (Driver.collision spec c) (fun r ->
+          (r.Collision.nibble_recovered, r.Collision.separation))
     | Attack_type.Flush_and_reload ->
       let cap = t 3000 in
       let c = { Flush_reload.default_config with Flush_reload.trials = cap } in
-      let ex r =
-        (r.Flush_reload.nibble_recovered, r.Flush_reload.separation)
-      in
-      (match target_for adaptive cap with
-      | None -> fixed_arm ex cap (Driver.submit_flush_reload ctx spec c)
-      | Some target ->
-        adaptive_arm ex
-          (Driver.submit_flush_reload_adaptive ctx spec ~target c))
+      submit_arm ?adaptive ctx ~cap (Driver.flush_reload spec c) (fun r ->
+          (r.Flush_reload.nibble_recovered, r.Flush_reload.separation))
   with
   | exception e ->
     Telemetry.close_span tm sp;
@@ -289,14 +275,3 @@ let render cells =
       /. Float.max 1. (float_of_int (total_trials cells)))
       (worst_half_width cells)
   else ""
-
-(* --- deprecated optional-tail wrappers ------------------------------- *)
-
-let ctx_of ?(scale = Figures.Full) ?(seed = 42) ?jobs () =
-  let ctx = { Run.default with Run.seed; jobs } in
-  if scale = Figures.Quick then Run.quick ctx else ctx
-
-let run_cell ?scale ?seed ?jobs spec attack =
-  cell (ctx_of ?scale ?seed ?jobs ()) spec attack
-
-let matrix ?scale ?seed ?jobs () = cells (ctx_of ?scale ?seed ?jobs ())

@@ -30,8 +30,6 @@ type adaptive = { confidence : float; ci_width : float }
     measurement arm the e2e bench uses to find the widths that fixed
     budgets actually achieve. *)
 
-(** {1 Primary ctx-first API} *)
-
 val cell :
   ?adaptive:adaptive ->
   Run.ctx -> Cachesec_cache.Spec.t -> Cachesec_analysis.Attack_type.t -> cell
@@ -85,20 +83,3 @@ val worst_half_width : cell list -> float
     finite was measured. The e2e bench's matched-width target: an
     adaptive arm run at this width is at least as precise as the fixed
     arm in every cell that can stop at all. *)
-
-(** {1 Deprecated optional-tail wrappers} *)
-
-val run_cell :
-  ?scale:Figures.scale ->
-  ?seed:int ->
-  ?jobs:int ->
-  Cachesec_cache.Spec.t ->
-  Cachesec_analysis.Attack_type.t ->
-  cell
-[@@alert deprecated "use cell with a Run.ctx"]
-(** One cell with the old optional tail. [?jobs] follows
-    {!Cachesec_runtime.Scheduler.resolve_jobs} (absent = serial, [0] =
-    auto); the cell's value is independent of [jobs]. *)
-
-val matrix : ?scale:Figures.scale -> ?seed:int -> ?jobs:int -> unit -> cell list
-[@@alert deprecated "use cells with a Run.ctx"]

@@ -35,7 +35,7 @@ let quick ctx = { ctx with quick = true }
    serial loop (and to every result recorded before the trial-runtime
    refactor). Later batches draw well-separated seeds from the pure
    hash. This is the single point of seed derivation for the whole
-   experiments layer; [Driver.shard_seed] is a deprecated alias. *)
+   experiments layer. *)
 let seed_for_batch ~seed i = if i = 0 then seed else Rng.derive_seed seed i
 let batch_seed ctx i = seed_for_batch ~seed:ctx.seed i
 

@@ -4,7 +4,7 @@
 
     A [ctx] is cheap, immutable and copied freely; the smart
     constructors below are the intended way to build one. Every
-    ctx-taking experiment function ([Driver.run_*],
+    ctx-taking experiment function ([Driver.submit],
     [Validation.cells], [Figures.render_*], ...) promises the trial
     runtime's contract: the result depends on [seed]/[batch]/[quick]
     only, never on [jobs] or [telemetry]. *)
@@ -47,8 +47,7 @@ val seed_for_batch : seed:int -> int -> int
 (** Seed of trial batch [i]: the root [seed] itself for batch 0 (keeping
     single-batch runs bit-identical to the legacy serial loops and to
     the pre-runtime results), [Rng.derive_seed seed i] otherwise. The
-    single point of seed derivation for the experiments layer;
-    [Driver.shard_seed] is a deprecated alias. *)
+    single point of seed derivation for the experiments layer. *)
 
 val batch_seed : ctx -> int -> int
 (** [seed_for_batch ~seed:ctx.seed]. *)

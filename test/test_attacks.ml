@@ -2,11 +2,6 @@
    key-recovery scoring, the four attacks, the cleaning game, the
    allocation-free fast path and its bit-identity golden digests. *)
 
-(* [Attacker.conflict_lines] is deprecated in favour of
-   [nth_conflict_line] / [Probe_plan]; the compat wrapper is still
-   covered below, so silence the alert for this file. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_cache
 open Cachesec_crypto
@@ -107,7 +102,7 @@ let test_random_plaintext () =
 
 let test_conflict_lines () =
   let cfg = Config.standard in
-  let lines = Attacker.conflict_lines cfg ~count:8 5 in
+  let lines = List.init 8 (Attacker.nth_conflict_line cfg ~set:5) in
   Alcotest.(check int) "count" 8 (List.length lines);
   Alcotest.(check int) "distinct" 8 (List.length (List.sort_uniq compare lines));
   List.iter
@@ -115,8 +110,9 @@ let test_conflict_lines () =
       Alcotest.(check int) "maps to set" 5 (Address.set_index cfg l);
       Alcotest.(check bool) "above attacker base" true (l >= Attacker.default_base))
     lines;
-  Alcotest.check_raises "bad set" (Invalid_argument "Attacker.conflict_lines: bad set")
-    (fun () -> ignore (Attacker.conflict_lines cfg ~count:1 64))
+  Alcotest.check_raises "bad set"
+    (Invalid_argument "Attacker.nth_conflict_line: bad set") (fun () ->
+      ignore (Attacker.nth_conflict_line cfg ~set:64 0))
 
 let test_prime_probe_cycle () =
   let _, engine = make_victim () in
@@ -141,12 +137,13 @@ let test_prime_probe_cycle () =
 
 let test_nth_conflict_line () =
   let cfg = Config.standard in
-  let lines = Attacker.conflict_lines cfg ~count:8 5 in
-  List.iteri
-    (fun k l ->
-      Alcotest.(check int) "matches deprecated list form" l
-        (Attacker.nth_conflict_line cfg ~set:5 k))
-    lines;
+  let sets = Config.sets cfg in
+  let aligned = Attacker.default_base - (Attacker.default_base mod sets) in
+  for k = 0 to 7 do
+    Alcotest.(check int) "base aligned to the set stride, plus set + k*sets"
+      (aligned + 5 + (k * sets))
+      (Attacker.nth_conflict_line cfg ~set:5 k)
+  done;
   Alcotest.check_raises "bad set"
     (Invalid_argument "Attacker.nth_conflict_line: bad set") (fun () ->
       ignore (Attacker.nth_conflict_line cfg ~set:64 0))

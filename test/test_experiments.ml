@@ -1,11 +1,6 @@
 (* Integration tests: the experiment drivers that regenerate the paper's
    tables and figures, run at reduced scale. *)
 
-(* These tests deliberately exercise the deprecated optional-tail
-   wrappers alongside the Run.ctx primaries: old-vs-new equivalence is
-   part of the API-migration contract. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_cache
 open Cachesec_analysis
 open Cachesec_experiments
@@ -93,14 +88,17 @@ let test_figure8 () =
   let sa64 = List.assoc 64 (find "SA/RP/RF 8-way") in
   Alcotest.(check bool) "sa high at 64" true (sa64 > 0.95)
 
+(* A serial, quick-scale context. *)
+let quick_ctx seed = Cachesec_runtime.Run.(quick (make ~seed ()))
+
 let test_figure9_quick () =
-  let s = Figures.figure9 ~scale:Figures.Quick ~seed:3 () in
+  let s = Figures.render_figure9 (quick_ctx 3) in
   Alcotest.(check bool) "both caches shown" true
     (contains s "SA Cache" && contains s "Newcache");
   Alcotest.(check bool) "verdict lines" true (contains s "nibble recovered")
 
 let test_figure10_quick () =
-  let s = Figures.figure10 ~scale:Figures.Quick ~seed:3 () in
+  let s = Figures.render_figure10 (quick_ctx 3) in
   Alcotest.(check bool) "six caches" true
     (contains s "SA Cache" && contains s "RP Cache" && contains s "RE Cache")
 
@@ -114,14 +112,14 @@ let test_trials_for () =
 let test_validation_cells_quick () =
   (* A clearly-leaky and a clearly-protected cell, at reduced scale. *)
   let leak =
-    Validation.run_cell ~scale:Figures.Quick Spec.paper_sa
+    Validation.cell (quick_ctx 42) Spec.paper_sa
       Attack_type.Flush_and_reload
   in
   Alcotest.(check bool) "sa FR leaks" true leak.Validation.recovered;
   Alcotest.(check bool) "predicted too" true leak.Validation.predicted_leak;
   Alcotest.(check bool) "agrees" true leak.Validation.agrees;
   let safe =
-    Validation.run_cell ~scale:Figures.Quick Spec.paper_newcache
+    Validation.cell (quick_ctx 42) Spec.paper_newcache
       Attack_type.Flush_and_reload
   in
   Alcotest.(check bool) "newcache FR protected" false safe.Validation.recovered;
@@ -130,7 +128,7 @@ let test_validation_cells_quick () =
 let test_validation_render () =
   let cells =
     [
-      Validation.run_cell ~scale:Figures.Quick Spec.paper_sp
+      Validation.cell (quick_ctx 42) Spec.paper_sp
         Attack_type.Evict_and_time;
     ]
   in

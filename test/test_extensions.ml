@@ -2,11 +2,6 @@
    generators, performance measurement, multi-line analysis, full-key
    recovery and the MI metric comparison. *)
 
-(* These tests deliberately exercise the deprecated optional-tail
-   wrappers alongside the Run.ctx primaries: old-vs-new equivalence is
-   part of the API-migration contract. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_cache
 open Cachesec_analysis
@@ -274,12 +269,16 @@ let test_svf_render () =
 let test_learning_curve_ordering () =
   let grid = [ 100; 400 ] in
   let final c = snd (List.nth c.Learning_curves.points 1) in
-  let sa = Learning_curves.run_curve ~seeds:4 ~grid Spec.paper_sa in
+  let ctx = Cachesec_runtime.Run.make ~seed:61 () in
+  let sa = Learning_curves.curve ~seeds:4 ~grid ctx Spec.paper_sa in
   Alcotest.(check (float 0.)) "sa instant" 1. (final sa);
-  let nc = Learning_curves.run_curve ~seeds:4 ~grid Spec.paper_newcache in
+  let nc = Learning_curves.curve ~seeds:4 ~grid ctx Spec.paper_newcache in
   Alcotest.(check (float 0.)) "newcache never" 0. (final nc);
   Alcotest.(check bool) "csv rows" true
-    (List.length (Learning_curves.csv_rows [ sa; nc ]) = 4)
+    (List.length (Learning_curves.csv_rows [ sa; nc ]) = 4);
+  Alcotest.check_raises "seeds must be positive"
+    (Invalid_argument "Learning_curves.curve: seeds must be positive")
+    (fun () -> ignore (Learning_curves.curve ~seeds:0 ~grid ctx Spec.paper_sa))
 
 (* --- Covert channels ---------------------------------------------------------------- *)
 

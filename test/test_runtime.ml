@@ -4,11 +4,6 @@
    machine may have cores) executions of the same trial family, driver
    campaign, or validation cell must be bit-identical. *)
 
-(* These tests deliberately exercise the deprecated optional-tail
-   wrappers alongside the Run.ctx primaries: old-vs-new equivalence is
-   part of the API-migration contract. *)
-[@@@alert "-deprecated"]
-
 open Cachesec_stats
 open Cachesec_runtime
 open Cachesec_cache
@@ -334,8 +329,9 @@ let test_driver_flush_reload_invariant () =
       Cachesec_attacks.Flush_reload.trials = 600 (* spans 3 batches of 256 *)
     }
   in
-  let r1 = Driver.flush_reload ~jobs:1 ~seed:42 spec cfg in
-  let r4 = Driver.flush_reload ~jobs:4 ~seed:42 spec cfg in
+  let run ctx = Driver.(await (submit ctx (flush_reload spec cfg))) in
+  let r1 = run (Run.make ~jobs:1 ~seed:42 ()) in
+  let r4 = run (Run.make ~jobs:4 ~seed:42 ()) in
   Alcotest.(check bool)
     "same verdict" r1.Cachesec_attacks.Flush_reload.nibble_recovered
     r4.Cachesec_attacks.Flush_reload.nibble_recovered;
@@ -344,21 +340,25 @@ let test_driver_flush_reload_invariant () =
     r4.Cachesec_attacks.Flush_reload.best_candidate;
   Alcotest.(check (float 0.))
     "same separation" r1.Cachesec_attacks.Flush_reload.separation
-    r4.Cachesec_attacks.Flush_reload.separation
+    r4.Cachesec_attacks.Flush_reload.separation;
+  (* And telemetry must be an observer only: an active context cannot
+     move results either. *)
+  let open Cachesec_telemetry in
+  let sink, _ = Sink.memory () in
+  let tm = Telemetry.make ~sink () in
+  let observed = run (Run.with_telemetry tm (Run.make ~jobs:4 ~seed:42 ())) in
+  Telemetry.close tm;
+  Alcotest.(check bool) "telemetry does not perturb results" true
+    (compare r4 observed = 0)
 
 let test_driver_cleaning_game_invariant () =
-  let p1 = Driver.cleaning_game ~jobs:1 ~seed:7 spec ~accesses:16 ~samples:600 in
-  let p4 = Driver.cleaning_game ~jobs:4 ~seed:7 spec ~accesses:16 ~samples:600 in
-  Alcotest.(check (float 0.)) "bit-identical probability" p1 p4
-
-let test_driver_timing_stats_invariant () =
-  let h1, s1 = Driver.timing_stats ~jobs:1 ~seed:9 spec ~trials:1500 () in
-  let h4, s4 = Driver.timing_stats ~jobs:4 ~seed:9 spec ~trials:1500 () in
-  Alcotest.(check (array int))
-    "identical merged histograms" (Histogram.counts h1) (Histogram.counts h4);
-  Alcotest.(check int) "identical totals" (Histogram.total h1) (Histogram.total h4);
-  Alcotest.(check int) "identical counts" (Summary.count s1) (Summary.count s4);
-  Alcotest.(check (float 1e-9)) "identical means" (Summary.mean s1) (Summary.mean s4)
+  let run jobs =
+    Driver.(
+      await
+        (submit (Run.make ~jobs ~seed:7 ())
+           (cleaning_game spec ~accesses:16 ~samples:600)))
+  in
+  Alcotest.(check (float 0.)) "bit-identical probability" (run 1) (run 4)
 
 let cell_testable =
   let pp ppf (c : Validation.cell) =
@@ -375,12 +375,11 @@ let test_validation_cells_jobs_invariant () =
   (* Two full cells of the validation matrix, one per attack family that
      exercises a different run_span, at Quick scale. *)
   let check_cell spec attack =
-    let c1 =
-      Validation.run_cell ~scale:Figures.Quick ~seed:42 ~jobs:1 spec attack
+    let run jobs =
+      Validation.cell (Run.quick (Run.make ~jobs ~seed:42 ())) spec attack
     in
-    let c4 =
-      Validation.run_cell ~scale:Figures.Quick ~seed:42 ~jobs:4 spec attack
-    in
+    let c1 = run 1 in
+    let c4 = run 4 in
     Alcotest.check cell_testable
       (Spec.name spec ^ " cell identical across jobs")
       c1 c4
@@ -436,15 +435,12 @@ let test_adaptive_matrix_pipelined_identical () =
     (matrix ~pipeline:true ~jobs:1)
 
 let test_learning_curve_jobs_invariant () =
-  let c1 =
-    Learning_curves.run_curve ~seed:61 ~seeds:3 ~jobs:1 ~grid:[ 50; 100 ]
+  let run jobs =
+    Learning_curves.curve ~seeds:3 ~grid:[ 50; 100 ]
+      (Run.make ~jobs ~seed:61 ())
       Spec.paper_sa
   in
-  let c4 =
-    Learning_curves.run_curve ~seed:61 ~seeds:3 ~jobs:4 ~grid:[ 50; 100 ]
-      Spec.paper_sa
-  in
-  Alcotest.(check bool) "identical curves" true (c1 = c4)
+  Alcotest.(check bool) "identical curves" true (run 1 = run 4)
 
 let test_timed_reports_jobs () =
   let x, t = Scheduler.timed ~jobs:2 (fun () -> 40 + 2) in
@@ -473,12 +469,11 @@ let test_timed_reports_jobs () =
   Alcotest.(check (list string)) "span carries the section name"
     [ "bench-section" ] names
 
-(* --- old optional-tail wrappers vs Run.ctx primaries ------------------ *)
+(* --- batch seeds ------------------------------------------------------- *)
 
 let test_seed_for_batch_contract () =
   (* Batch 0 must reuse the root seed verbatim; later batches come from
-     the pure hash. Driver.shard_seed is the deprecated alias and has to
-     stay bit-for-bit the same function. *)
+     the pure hash. *)
   List.iter
     (fun seed ->
       Alcotest.(check int) "batch 0 is the root seed" seed
@@ -487,61 +482,12 @@ let test_seed_for_batch_contract () =
         (fun i ->
           Alcotest.(check int) "later batches use derive_seed"
             (Rng.derive_seed seed i)
-            (Run.seed_for_batch ~seed i);
-          Alcotest.(check int) "Driver.shard_seed is an alias"
-            (Run.seed_for_batch ~seed i)
-            (Driver.shard_seed ~seed i))
+            (Run.seed_for_batch ~seed i))
         [ 1; 2; 17; 4096 ])
     [ 0; 7; 42; 0x5EED ];
   let ctx = Run.make ~seed:42 () in
   Alcotest.(check int) "batch_seed reads ctx.seed"
     (Run.seed_for_batch ~seed:42 3) (Run.batch_seed ctx 3)
-
-let test_old_vs_new_api_bit_identical () =
-  (* The deprecated wrappers must produce exactly what the ctx primaries
-     produce for equal (seed, batch, jobs) — the API migration is not
-     allowed to move any result. *)
-  let cfg =
-    { Cachesec_attacks.Flush_reload.default_config with
-      Cachesec_attacks.Flush_reload.trials = 600
-    }
-  in
-  let old_r = Driver.flush_reload ~jobs:4 ~seed:42 spec cfg in
-  let new_r =
-    Driver.run_flush_reload (Run.make ~jobs:4 ~seed:42 ()) spec cfg
-  in
-  Alcotest.(check bool) "flush-reload identical" true
-    (compare old_r new_r = 0);
-  let old_p = Driver.cleaning_game ~jobs:2 ~seed:7 spec ~accesses:16 ~samples:600 in
-  let new_p =
-    Driver.run_cleaning_game (Run.make ~jobs:2 ~seed:7 ()) spec ~accesses:16
-      ~samples:600
-  in
-  Alcotest.(check (float 0.)) "cleaning game identical" old_p new_p;
-  let old_cell =
-    Validation.run_cell ~scale:Figures.Quick ~seed:42 ~jobs:2 spec
-      Cachesec_analysis.Attack_type.Flush_and_reload
-  in
-  let new_cell =
-    Validation.cell
-      (Run.quick (Run.make ~jobs:2 ~seed:42 ()))
-      spec Cachesec_analysis.Attack_type.Flush_and_reload
-  in
-  Alcotest.(check bool) "validation cell identical" true
-    (compare old_cell new_cell = 0);
-  (* And telemetry must be an observer only: an active context cannot
-     move results either. *)
-  let open Cachesec_telemetry in
-  let sink, _ = Sink.memory () in
-  let tm = Telemetry.make ~sink () in
-  let observed =
-    Driver.run_flush_reload
-      (Run.with_telemetry tm (Run.make ~jobs:4 ~seed:42 ()))
-      spec cfg
-  in
-  Telemetry.close tm;
-  Alcotest.(check bool) "telemetry does not perturb results" true
-    (compare new_r observed = 0)
 
 let () =
   Alcotest.run "runtime"
@@ -587,8 +533,6 @@ let () =
             test_driver_flush_reload_invariant;
           Alcotest.test_case "cleaning game jobs-invariant" `Quick
             test_driver_cleaning_game_invariant;
-          Alcotest.test_case "timing stats jobs-invariant" `Quick
-            test_driver_timing_stats_invariant;
           Alcotest.test_case "validation cells jobs-invariant" `Quick
             test_validation_cells_jobs_invariant;
           Alcotest.test_case "validation matrix pipelined-identical" `Slow
@@ -604,7 +548,5 @@ let () =
         [
           Alcotest.test_case "seed_for_batch contract" `Quick
             test_seed_for_batch_contract;
-          Alcotest.test_case "old vs new API bit-identical" `Quick
-            test_old_vs_new_api_bit_identical;
         ] );
     ]

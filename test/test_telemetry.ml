@@ -110,8 +110,11 @@ let counters_for ~jobs =
       Cachesec_attacks.Flush_reload.trials = 600 (* spans 3 batches of 256 *)
     }
   in
-  ignore (Driver.run_flush_reload ctx Spec.paper_sa cfg);
-  ignore (Driver.run_cleaning_game ctx Spec.paper_sa ~accesses:16 ~samples:600);
+  ignore Driver.(await (submit ctx (flush_reload Spec.paper_sa cfg)));
+  ignore
+    Driver.(
+      await
+        (submit ctx (cleaning_game Spec.paper_sa ~accesses:16 ~samples:600)));
   let cs = Telemetry.counters tm in
   Telemetry.close tm;
   cs
@@ -147,6 +150,69 @@ let test_domain_local_counts_merge () =
       (Telemetry.counters tm)
   in
   ()
+
+(* --- campaign span names ----------------------------------------------- *)
+
+(* TELEMETRY files and per-campaign attribution key on these names: a
+   fixed run's span is "<campaign>:<cache>", an adaptive run of the same
+   campaign appends ":adaptive". *)
+let test_campaign_span_names () =
+  let cfg =
+    { Cachesec_attacks.Flush_reload.default_config with
+      Cachesec_attacks.Flush_reload.trials = 300
+    }
+  in
+  let campaign = Driver.flush_reload Spec.paper_sa cfg in
+  let run submit =
+    snd
+      (with_memory_tm @@ fun tm ->
+       ignore
+         (Driver.await
+            (submit (Run.with_telemetry tm (Run.make ~seed:42 ())) campaign)))
+  in
+  let fixed = run Driver.submit in
+  let target =
+    Cachesec_stats.Sequential.target ~confidence:0.95 ~min_trials:50
+      ~half_width:0.05 ~max_trials:600 ()
+  in
+  let adaptive = run (Driver.submit_adaptive ~target) in
+  let span_names events =
+    List.filter_map
+      (function Event.Span_start { name; _ } -> Some name | _ -> None)
+      events
+  in
+  (* The gauges attributed to the (single) campaign span. *)
+  let gauges_of events =
+    match
+      List.find_map
+        (function Event.Span_start { id; _ } -> Some id | _ -> None)
+        events
+    with
+    | None -> []
+    | Some id ->
+      List.filter_map
+        (function
+          | Event.Gauge { span; name; _ } when span = id -> Some name
+          | _ -> None)
+        events
+  in
+  let counted name events =
+    List.exists
+      (function Event.Counter_total { name = n; _ } -> n = name | _ -> false)
+      events
+  in
+  Alcotest.(check (list string)) "fixed span" [ "flush-reload:sa" ]
+    (span_names fixed);
+  Alcotest.(check (list string)) "fixed span gauges" [ "trials" ]
+    (gauges_of fixed);
+  Alcotest.(check (list string)) "adaptive span"
+    [ "flush-reload:sa:adaptive" ] (span_names adaptive);
+  Alcotest.(check (list string)) "adaptive span gauges"
+    [ "trials_cap"; "trials" ] (gauges_of adaptive);
+  Alcotest.(check bool) "fixed run saves nothing" false
+    (counted "driver.trials_saved" fixed);
+  Alcotest.(check bool) "adaptive run counts trials saved" true
+    (counted "driver.trials_saved" adaptive)
 
 (* --- JSON sink round-trip -------------------------------------------- *)
 
@@ -381,6 +447,8 @@ let () =
             test_with_span_closes_on_exception;
           Alcotest.test_case "scheduler batch events" `Quick
             test_scheduler_batch_events;
+          Alcotest.test_case "campaign span names" `Quick
+            test_campaign_span_names;
         ] );
       ( "counters",
         [
