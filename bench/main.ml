@@ -1,11 +1,12 @@
 (* Benchmark & reproduction harness.
 
-   Default run regenerates every table and figure of the paper's
-   evaluation (Tables 3, 5, 6, 7; Figures 4, 8, 9, 10), the pre-PAS
-   Monte-Carlo cross-check, the validation matrix and the ablation
-   sweeps, exports the data as CSV under results/, and finishes with
-   Bechamel micro-benchmarks (one Test per table/figure plus simulator
-   throughput).
+   Default run first measures the two hard-gated single-domain
+   throughputs (simulator, attacks), then regenerates every table and
+   figure of the paper's evaluation (Tables 3, 5, 6, 7; Figures 4, 8,
+   9, 10), the pre-PAS Monte-Carlo cross-check, the validation matrix
+   and the ablation sweeps, exports the data as CSV under results/, and
+   finishes with Bechamel micro-benchmarks (one Test per table/figure
+   plus simulator throughput).
 
    Flags: --quick (reduced trial counts), --no-perf (skip Bechamel),
    --no-sim (analytical sections only), --jobs N (shard the Monte-Carlo
@@ -276,6 +277,65 @@ let main perf sim (ctx : Run.ctx) =
   Printf.printf
     "cachesec reproduction harness - He & Lee, 'How secure is your cache \
      against side-channel attacks?', MICRO-50 (2017)\n";
+  (* The two single-domain hard-gated sections run first, in a fresh
+     heap: after the simulation sections the quick sa/lru measurement
+     spans several major GC cycles that a fresh process never sees.
+
+     Always runs (even under --no-sim / --no-perf): this is the perf
+     regression gate. Writes results/BENCH_cache.json, row by row
+     comparable across checkouts; the committed
+     bench/BENCH_cache.baseline.json holds the pre-optimization numbers.
+     The benchmark proper is timed through Scheduler.timed so its
+     telemetry span id can be embedded in the JSON, cross-referencing
+     BENCH_cache.json against TELEMETRY_*.json of the same run. *)
+  section "Simulator throughput (accesses/sec per architecture x policy)"
+    (fun () ->
+      let entries, t =
+        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
+          ~name:"throughput-bench"
+          (fun () -> Throughput.bench ctx)
+      in
+      ensure_results_dirs ();
+      Throughput.write ~span_id:t.Scheduler.span_id
+        ~path:"results/BENCH_cache.json" entries;
+      (* Hard engine gate against the FROZEN seed numbers
+         (bench/BENCH_cache.seed.json, never re-recorded), unlike the
+         re-recordable BENCH_cache.baseline.json behind the vs-base
+         column. *)
+      Throughput.render ~baseline:"bench/BENCH_cache.baseline.json" entries
+      ^ Throughput.Gate.line
+          (Throughput.gate ~baseline:"bench/BENCH_cache.seed.json" entries)
+      ^ wrote "results/BENCH_cache.json" t);
+  (* Companion perf gate for the attack fast path: whole attack trials
+     per second through each attack's run_span, each case measured on
+     both replay paths (auto-selected batched kernels vs Kernel.Scalar,
+     the pre-batching cost model). Two baseline files, mirroring the
+     engine bench above: the hard gate compares current batched rows
+     against bench/BENCH_attacks.seed.json — the FROZEN pre-batching
+     harness numbers (v1, scalar by construction), never re-recorded —
+     while the re-recordable bench/BENCH_attacks.baseline.json (v2,
+     both paths) feeds the vs-base trajectory column. Prime-probe and
+     evict-time are hard PASS/FAIL gates (their trial cost is dominated
+     by batched probe/evict runs); flush-reload and collision amortize
+     batching against whole-region flushes and AES tracing, so they
+     report speedup without failing the build. *)
+  section "Attack throughput (trials/sec per attack class x arch x path)"
+    (fun () ->
+      let entries, t =
+        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
+          ~name:"attack-throughput-bench"
+          (fun () -> Throughput.Attacks.bench ctx)
+      in
+      ensure_results_dirs ();
+      Throughput.Attacks.write ~span_id:t.Scheduler.span_id
+        ~path:"results/BENCH_attacks.json" entries;
+      Throughput.Attacks.render ~baseline:"bench/BENCH_attacks.baseline.json"
+        entries
+      ^ String.concat ""
+          (List.map Throughput.Gate.line
+             (Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
+                entries))
+      ^ wrote "results/BENCH_attacks.json" t);
   section "Table 3 (Type 1 edge probabilities and PAS)" (fun () ->
       Tables.table3 ());
   section "Table 5 (Type 3 edge probabilities and PAS)" (fun () ->
@@ -414,61 +474,6 @@ let main perf sim (ctx : Run.ctx) =
        run Cachesec_cache.Spec.paper_sa 3000
        ^ run Cachesec_cache.Spec.paper_newcache 1000)
   end;
-  (* Always runs (even under --no-sim / --no-perf): this is the perf
-     regression gate. Writes results/BENCH_cache.json, row by row
-     comparable across checkouts; the committed
-     bench/BENCH_cache.baseline.json holds the pre-optimization numbers.
-     The benchmark proper is timed through Scheduler.timed so its
-     telemetry span id can be embedded in the JSON, cross-referencing
-     BENCH_cache.json against TELEMETRY_*.json of the same run. *)
-  section "Simulator throughput (accesses/sec per architecture x policy)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"throughput-bench"
-          (fun () -> Throughput.bench ctx)
-      in
-      ensure_results_dirs ();
-      Throughput.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_cache.json" entries;
-      (* Hard engine gate against the FROZEN seed numbers
-         (bench/BENCH_cache.seed.json, never re-recorded), unlike the
-         re-recordable BENCH_cache.baseline.json behind the vs-base
-         column. *)
-      Throughput.render ~baseline:"bench/BENCH_cache.baseline.json" entries
-      ^ Throughput.Gate.line
-          (Throughput.gate ~baseline:"bench/BENCH_cache.seed.json" entries)
-      ^ wrote "results/BENCH_cache.json" t);
-  (* Companion perf gate for the attack fast path: whole attack trials
-     per second through each attack's run_span, each case measured on
-     both replay paths (auto-selected batched kernels vs Kernel.Scalar,
-     the pre-batching cost model). Two baseline files, mirroring the
-     engine bench above: the hard gate compares current batched rows
-     against bench/BENCH_attacks.seed.json — the FROZEN pre-batching
-     harness numbers (v1, scalar by construction), never re-recorded —
-     while the re-recordable bench/BENCH_attacks.baseline.json (v2,
-     both paths) feeds the vs-base trajectory column. Prime-probe and
-     evict-time are hard PASS/FAIL gates (their trial cost is dominated
-     by batched probe/evict runs); flush-reload and collision amortize
-     batching against whole-region flushes and AES tracing, so they
-     report speedup without failing the build. *)
-  section "Attack throughput (trials/sec per attack class x arch x path)"
-    (fun () ->
-      let entries, t =
-        Scheduler.timed ?jobs:ctx.Run.jobs ~tm:ctx.Run.telemetry
-          ~name:"attack-throughput-bench"
-          (fun () -> Throughput.Attacks.bench ctx)
-      in
-      ensure_results_dirs ();
-      Throughput.Attacks.write ~span_id:t.Scheduler.span_id
-        ~path:"results/BENCH_attacks.json" entries;
-      Throughput.Attacks.render ~baseline:"bench/BENCH_attacks.baseline.json"
-        entries
-      ^ String.concat ""
-          (List.map Throughput.Gate.line
-             (Throughput.Attacks.gate ~baseline:"bench/BENCH_attacks.seed.json"
-                entries))
-      ^ wrote "results/BENCH_attacks.json" t);
   (* Third perf gate: end-to-end campaign pipelining. Runs the
      quick-scale validation matrix and the experimental figures twice —
      sequential campaign execution vs all campaigns' shards submitted

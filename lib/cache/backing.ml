@@ -52,6 +52,16 @@ let find_tag_owned t ~set ~tag ~owner =
   let w = t.cfg.Config.ways in
   Slab.find_tag_owned t.slab ~tag ~owner ~base:(set * w) ~len:w
 
+(* The generic miss tail. Shared by the generic access paths only: the
+   kernels keep their own flattened tail, because the generic paths are
+   their differential oracle. *)
+let[@inline] install t policy way ~addr ~pid ~seq =
+  let s = t.slab in
+  let evicted = Slab.victim s way in
+  Slab.fill s way ~tag:addr ~owner:pid ~seq;
+  Policy.filled policy s way;
+  Outcome.fill ~fetched:addr ~evicted
+
 (* --- cold paths ---------------------------------------------------- *)
 
 let ways_of_set t ~set =
@@ -60,16 +70,7 @@ let ways_of_set t ~set =
     invalid_arg "Backing.ways_of_set: set out of range";
   List.init w (fun i -> (set * w) + i)
 
-let valid_indices t =
-  let acc = ref [] in
-  for i = t.slab.Slab.n - 1 downto 0 do
-    if Slab.valid t.slab i then acc := i :: !acc
-  done;
-  !acc
-
-(* Valid lines with their global index, as fresh boxed snapshots (the
-   slabs are the state of record; mutating a dumped [Line.t] no longer
-   reaches the engine). *)
+(* Valid lines with their global index, as fresh boxed snapshots. *)
 let dump t =
   let acc = ref [] in
   for i = t.slab.Slab.n - 1 downto 0 do
@@ -79,3 +80,49 @@ let dump t =
 
 let flush_all t =
   Counters.record_eviction t.counters ~count:(Slab.clear t.slab)
+
+let flush_at t ~pid i =
+  if i >= 0 then begin
+    Slab.invalidate t.slab i;
+    Counters.record_flush t.counters ~pid;
+    true
+  end
+  else false
+
+(* --- the uniform engine projection ----------------------------------- *)
+
+(* The one [Engine.t] literal behind every slab-backed architecture;
+   each overrides what differs by record update. *)
+let engine ?(kernel = Kernel.Auto) ?kernels ?set_of:index t ~name access =
+  let access, access_run, kernel, run_kernel =
+    match kernels with
+    | None ->
+      (access, Kernel.run_of_scalar access, Kernel.generic, Kernel.generic)
+    | Some (label, k_access, k_run) ->
+      Kernel.select kernel ~name:label ~fallback:access ~access:k_access
+        ~run:k_run
+  in
+  let find addr =
+    let set = match index with Some f -> f addr | None -> set_of t addr in
+    find_tag t ~set ~tag:addr
+  in
+  {
+    Engine.name;
+    config = t.cfg;
+    sigma = 0.;
+    kernel;
+    slab_bytes = Slab.bytes t.slab;
+    access;
+    access_run;
+    run_kernel;
+    peek = (fun ~pid:_ addr -> find addr >= 0);
+    flush_line = (fun ~pid addr -> flush_at t ~pid (find addr));
+    flush_all = (fun () -> flush_all t);
+    lock_line = (fun ~pid:_ _ -> false);
+    unlock_line = (fun ~pid:_ _ -> false);
+    set_window = (fun ~pid:_ ~back:_ ~fwd:_ -> ());
+    counters = (fun () -> Counters.global t.counters);
+    counters_for = (fun pid -> Counters.for_pid t.counters pid);
+    reset_counters = (fun () -> Counters.reset t.counters);
+    dump = (fun () -> dump t);
+  }

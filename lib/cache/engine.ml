@@ -19,6 +19,3 @@ type t = {
   reset_counters : unit -> unit;
   dump : unit -> (int * Line.t) list;
 }
-
-let no_lock ~pid:_ _ = false
-let no_window ~pid:_ ~back:_ ~fwd:_ = ()

@@ -1,10 +1,11 @@
 (** Uniform, architecture-agnostic cache interface.
 
-    Each architecture module exposes its own typed API plus an [engine]
-    projection to this record of operations, which is what the attack
-    harness, benches and examples drive. Operations that an architecture
-    does not implement (locking outside PL, windows outside RF) are no-ops
-    that return [()] or [false]. *)
+    The attack harness, benches and examples drive caches only through
+    this record of operations. Every slab-backed architecture builds it
+    with {!Backing.engine} and overrides what differs; {!Hierarchy}
+    wraps other engines. Operations that an architecture does not
+    implement (locking outside PL, windows outside RF) are no-ops that
+    return [()] or [false]. *)
 
 type t = {
   name : string;
@@ -52,9 +53,3 @@ type t = {
   dump : unit -> (int * Line.t) list;
       (** valid lines with their physical way index, for tests/debugging *)
 }
-
-val no_lock : pid:int -> int -> bool
-(** Constant [false]; default for caches without locking. *)
-
-val no_window : pid:int -> back:int -> fwd:int -> unit
-(** No-op; default for caches without random fill. *)

@@ -5,17 +5,6 @@ type selection = Auto | Generic | Scalar
 let generic = "generic"
 let scalar = "scalar"
 
-let selection_to_string = function
-  | Auto -> "auto"
-  | Generic -> "generic"
-  | Scalar -> "scalar"
-
-let selection_of_string = function
-  | "auto" -> Some Auto
-  | "generic" -> Some Generic
-  | "scalar" -> Some Scalar
-  | _ -> None
-
 (* --- batched trace replay --------------------------------------------- *)
 
 (* Accumulation state for a [Count] run: true/classified miss counts and

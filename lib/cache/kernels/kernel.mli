@@ -24,9 +24,6 @@ val scalar : string
     selection: monomorphized scalar access looped by the generic run
     wrapper. *)
 
-val selection_to_string : selection -> string
-val selection_of_string : string -> selection option
-
 (** {2 Batched trace replay}
 
     A batched [run] kernel replays [len] packed addresses

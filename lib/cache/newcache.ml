@@ -69,46 +69,27 @@ let access t ~pid addr =
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid addr = full_match t ~pid addr >= 0
-
-let flush_line t ~pid addr =
-  let i = full_match t ~pid addr in
-  if i >= 0 then begin
-    Kernel_newcache.cam_remove_entry_of t.cam t.b.Backing.slab i;
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t =
-  Hashtbl.reset t.cam.Kernel_newcache.table;
-  Backing.flush_all t.b
-
-let engine ?(kernel = Kernel.Auto) t =
-  let access, run, kernel_name, run_name =
-    Kernel.select kernel ~name:"newcache"
-      ~fallback:(access t)
-      ~access:(Kernel_newcache.access t.cam t.b)
-      ~run:(Kernel_newcache.run t.cam t.b)
+let engine ?kernel t =
+  let e =
+    Backing.engine ?kernel t.b
+      ~kernels:
+        ( "newcache",
+          Kernel_newcache.access t.cam t.b,
+          Kernel_newcache.run t.cam t.b )
+      ~name:(Printf.sprintf "newcache-%d-logical" (logical_lines t))
+      (access t)
   in
   {
-    Engine.name = Printf.sprintf "newcache-%d-logical" (logical_lines t);
-    config = config t;
-    sigma = 0.;
-    kernel = kernel_name;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access;
-    access_run = run;
-    run_kernel = run_name;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
+    e with
+    Engine.peek = (fun ~pid addr -> full_match t ~pid addr >= 0);
+    flush_line =
+      (fun ~pid addr ->
+        let i = full_match t ~pid addr in
+        if i >= 0 then
+          Kernel_newcache.cam_remove_entry_of t.cam t.b.Backing.slab i;
+        Backing.flush_at t.b ~pid i);
+    flush_all =
+      (fun () ->
+        Hashtbl.reset t.cam.Kernel_newcache.table;
+        Backing.flush_all t.b);
   }

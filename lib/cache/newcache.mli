@@ -28,14 +28,11 @@ val create :
 val config : t -> Config.t
 val logical_lines : t -> int
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-(** Removes only the accessor's own context's copy (the PID feature means
-    a pid cannot name another context's line). *)
-
-val flush_all : t -> unit
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds the access kernel
-    from {!Kernel_newcache}; [Generic] keeps the fallback. Bit-identical
-    either way. *)
+(** [peek] and [flush_line] match (context, logical index, tag) through
+    the CAM, so a flush removes only the accessor's own context's copy
+    (the PID feature means a pid cannot name another context's line);
+    [flush_all] also empties the CAM. [?kernel] (default [Auto]) binds
+    the access kernel from {!Kernel_newcache}; [Generic] keeps the
+    fallback. Bit-identical either way. *)

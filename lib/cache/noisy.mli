@@ -19,8 +19,6 @@ val create :
     non-negative. *)
 
 val sigma : t -> float
-val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
 (** [?kernel] is forwarded to the underlying {!Sa.engine}. *)

@@ -16,9 +16,6 @@ let config t = t.b.Backing.cfg
 let reserved_ways t = t.reserved
 let shared_ways t = t.b.Backing.cfg.Config.ways - t.reserved
 let is_protected t pid = List.mem pid t.protected_pids
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
-let set_of t addr = Backing.set_of t.b addr
 
 (* Top-level loop (all state as arguments): a local [let rec] capturing
    the slabs/[stop]/[pid] would allocate its closure on every miss under
@@ -50,7 +47,7 @@ let access t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
   let seq = Backing.tick b in
-  let set = set_of t addr in
+  let set = Backing.set_of b addr in
   let i = Backing.find_tag b ~set ~tag:addr in
   let outcome =
     if i >= 0 then begin
@@ -73,48 +70,15 @@ let access t ~pid addr =
         let way =
           Policy.victim_in t.policy b.rng s ~base:cand_base ~len:cand_len
         in
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
+        Backing.install b t.policy way ~addr ~pid ~seq
       end
     end
   in
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
-  {
-    Engine.name =
-      Printf.sprintf "nomo-%d/%d-reserved" t.reserved (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Backing.engine t.b
+    ~name:
+      (Printf.sprintf "nomo-%d/%d-reserved" t.reserved (config t).Config.ways)
+    (fun ~pid addr -> access t ~pid addr)

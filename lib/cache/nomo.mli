@@ -27,7 +27,6 @@ val reserved_ways : t -> int
 val shared_ways : t -> int
 val is_protected : t -> int -> bool
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
+
 val engine : t -> Engine.t
+(** Always generic, with the {!Backing.engine} defaults. *)

@@ -4,9 +4,6 @@ let create ?(config = Config.standard) ?(policy = Policy.Random) ~rng () =
   { b = Backing.create config ~rng; policy }
 
 let config t = t.b.Backing.cfg
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
-let set_of t addr = Backing.set_of t.b addr
 
 (* Generic access path; [Kernel_pl] holds the flattened
    equivalent (bit-identical, see the differential kernel tests). *)
@@ -14,7 +11,7 @@ let access t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
   let seq = Backing.tick b in
-  let set = set_of t addr in
+  let set = Backing.set_of b addr in
   let i = Backing.find_tag b ~set ~tag:addr in
   let outcome =
     if i >= 0 then begin
@@ -31,12 +28,7 @@ let access t ~pid addr =
            fill, so no [Policy.filled] either — the tree/counters only
            move when cache state does). *)
         Outcome.miss_uncached
-      else begin
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+      else Backing.install b t.policy way ~addr ~pid ~seq
     end
   in
   Counters.record b.counters ~pid outcome;
@@ -47,7 +39,7 @@ let access t ~pid addr =
 let lock_line t ~pid addr =
   let b = t.b in
   let s = b.Backing.slab in
-  let set = set_of t addr in
+  let set = Backing.set_of b addr in
   let i = Backing.find_tag b ~set ~tag:addr in
   if i >= 0 then begin
     Slab.set_locked s i true;
@@ -73,7 +65,7 @@ let lock_line t ~pid addr =
 
 let unlock_line t ~pid addr =
   let s = t.b.Backing.slab in
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
+  let i = Backing.find_tag t.b ~set:(Backing.set_of t.b addr) ~tag:addr in
   if i >= 0 && Slab.locked s i && s.Slab.owners.(i) = pid then begin
     Slab.set_locked s i false;
     true
@@ -85,48 +77,26 @@ let locked_lines t =
   |> List.filter_map (fun (_, (l : Line.t)) -> if l.locked then Some l.tag else None)
   |> List.sort Int.compare
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
+(* Flush refuses to remove a line locked by a different pid. *)
 let flush_line t ~pid addr =
   let s = t.b.Backing.slab in
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    if Slab.locked s i && s.Slab.owners.(i) <> pid then false
-    else begin
-      Slab.invalidate s i;
-      Counters.record_flush t.b.Backing.counters ~pid;
-      true
-    end
-  end
-  else false
+  let i = Backing.find_tag t.b ~set:(Backing.set_of t.b addr) ~tag:addr in
+  if i >= 0 && Slab.locked s i && s.Slab.owners.(i) <> pid then false
+  else Backing.flush_at t.b ~pid i
 
-let flush_all t = Backing.flush_all t.b
-
-let engine ?(kernel = Kernel.Auto) t =
-  let access, run, kernel_name, run_name =
-    Kernel.select kernel
-      ~name:("pl-" ^ Policy.to_string t.policy)
-      ~fallback:(access t)
-      ~access:(Kernel_pl.access t.policy t.b)
-      ~run:(Kernel_pl.run t.policy t.b)
+let engine ?kernel t =
+  let e =
+    Backing.engine ?kernel t.b
+      ~kernels:
+        ( "pl-" ^ Policy.to_string t.policy,
+          Kernel_pl.access t.policy t.b,
+          Kernel_pl.run t.policy t.b )
+      ~name:(Printf.sprintf "pl-%d-way" (config t).Config.ways)
+      (access t)
   in
   {
-    Engine.name = Printf.sprintf "pl-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    kernel = kernel_name;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access;
-    access_run = run;
-    run_kernel = run_name;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
+    e with
+    Engine.flush_line = (fun ~pid addr -> flush_line t ~pid addr);
     lock_line = (fun ~pid addr -> lock_line t ~pid addr);
     unlock_line = (fun ~pid addr -> unlock_line t ~pid addr);
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
   }

@@ -33,17 +33,15 @@ val unlock_line : t -> pid:int -> int -> bool
 val locked_lines : t -> int list
 (** Memory lines currently locked, ascending. *)
 
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-(** Flush refuses to remove a line locked by a different pid (returns
-    [false]), mirroring that eviction of protected lines is impossible. *)
-
-val flush_all : t -> unit
-
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds {!Kernel_pl}'s access kernel and its
-    batched twin, which serve every policy; [Scalar] binds the scalar
-    kernel under the scalar-looping run; [Generic] keeps the
+(** The {!Backing.engine} defaults plus {!lock_line}/{!unlock_line} and
+    a lock-aware [flush_line]: it refuses to remove a line locked by a
+    different pid (returns [false]), mirroring that eviction of
+    protected lines is impossible.
+
+    [?kernel] (default [Auto]) binds {!Kernel_pl}'s access kernel and
+    its batched twin, which serve every policy; [Scalar] binds the
+    scalar kernel under the scalar-looping run; [Generic] keeps the
     policy-dispatching fallback (differential-testing oracle). All are
     bit-identical in state, RNG draws and outcomes; [Engine.t.kernel]
     is ["pl-<policy>"] or ["generic"]. *)

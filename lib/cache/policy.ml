@@ -84,10 +84,6 @@ let rec plru_point_away tree node =
     let bit = node land 1 lxor 1 in
     plru_point_away ((tree land lnot (1 lsl parent)) lor (bit lsl parent)) parent
 
-let plru_victim (s : Slab.t) ~set =
-  let w = s.Slab.ways in
-  (set * w) + plru_walk s.Slab.tree.(set) w 1
-
 let plru_touch (s : Slab.t) i =
   let w = s.Slab.ways in
   if plru_tree_capable w then begin

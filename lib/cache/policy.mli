@@ -105,9 +105,6 @@ val plru_walk : int -> int -> int -> int
 (** [plru_walk tree ways node]: follow the bits from heap [node] (the
     root is 1) down to a leaf; returns the way index. *)
 
-val plru_victim : Slab.t -> set:int -> int
-(** Physical index the tree word of [set] currently points at. *)
-
 val plru_touch : Slab.t -> int -> unit
 (** Point every ancestor of line [i]'s leaf away from it. No-op when
     the slab's way count is not tree-capable. *)

@@ -22,9 +22,6 @@ let create ?(config = Config.direct_mapped) ?(policy = Policy.Random)
 let config t = t.b.Backing.cfg
 let interval t = t.interval
 let random_evictions t = t.random_evictions
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
-let set_of t addr = Backing.set_of t.b addr
 
 (* Fires after every [interval]-th access; evicts a uniformly random slot. *)
 let periodic_eviction t =
@@ -43,24 +40,19 @@ let periodic_eviction t =
 let access t ~pid addr =
   let b = t.b in
   let seq = Backing.tick b in
-  let set = set_of t addr in
+  let set = Backing.set_of b addr in
   let i = Backing.find_tag b ~set ~tag:addr in
   let base =
     if i >= 0 then begin
       Policy.touch t.policy b.Backing.slab i ~seq;
       Outcome.hit
     end
-    else begin
-      let s = b.Backing.slab in
+    else
       let way =
-        Policy.victim_in t.policy b.rng s
+        Policy.victim_in t.policy b.rng b.Backing.slab
           ~base:(Backing.base_of_set b ~set) ~len:b.cfg.Config.ways
       in
-      let evicted = Slab.victim s way in
-      Slab.fill s way ~tag:addr ~owner:pid ~seq;
-      Policy.filled t.policy s way;
-      Outcome.fill ~fetched:addr ~evicted
-    end
+      Backing.install b t.policy way ~addr ~pid ~seq
   in
   let outcome =
     (* The off-beat (interval - 1 of interval) accesses pass [base]
@@ -72,38 +64,7 @@ let access t ~pid addr =
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
-  {
-    Engine.name =
-      Printf.sprintf "re-%d-way-T%d" (config t).Config.ways t.interval;
-    config = config t;
-    sigma = 0.;
-    kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Backing.engine t.b
+    ~name:(Printf.sprintf "re-%d-way-T%d" (config t).Config.ways t.interval)
+    (fun ~pid addr -> access t ~pid addr)

@@ -25,7 +25,6 @@ val random_evictions : t -> int
     chosen slot held a valid line). *)
 
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
+
 val engine : t -> Engine.t
+(** Always generic, with the {!Backing.engine} defaults. *)

@@ -26,16 +26,12 @@ let set_window t ~pid ~back ~fwd =
   if back < 0 || fwd < 0 then invalid_arg "Rf.set_window: negative window";
   Hashtbl.replace t.windows pid (back, fwd)
 
-(* Division-free on power-of-two set counts; same value as
-   [Address.set_index]. *)
-let set_of t addr = Backing.set_of t.b addr
-
 (* Install [line] unless already cached; the filled outcome for an
    access to [addr] that randomly fetched [line]. *)
 let fill_line t ~pid ~addr line ~seq =
   let b = t.b in
   let s = b.Backing.slab in
-  let set = set_of t line in
+  let set = Backing.set_of b line in
   if Backing.find_tag b ~set ~tag:line >= 0 then
     (* already cached; nothing fetched, nothing displaced *)
     Outcome.miss_uncached
@@ -59,7 +55,7 @@ let fill_line t ~pid ~addr line ~seq =
 let access t ~pid addr =
   let b = t.b in
   let seq = Backing.tick b in
-  let set = set_of t addr in
+  let set = Backing.set_of b addr in
   let i = Backing.find_tag b ~set ~tag:addr in
   let outcome =
     if i >= 0 then begin
@@ -80,37 +76,11 @@ let access t ~pid addr =
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
   {
-    Engine.name = Printf.sprintf "rf-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = (fun ~pid ~back ~fwd -> set_window t ~pid ~back ~fwd);
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
+    (Backing.engine t.b
+       ~name:(Printf.sprintf "rf-%d-way" (config t).Config.ways)
+       (fun ~pid addr -> access t ~pid addr))
+    with
+    Engine.set_window = (fun ~pid ~back ~fwd -> set_window t ~pid ~back ~fwd);
   }

@@ -28,7 +28,6 @@ val set_window : t -> pid:int -> back:int -> fwd:int -> unit
 (** Raises [Invalid_argument] on negative sizes. *)
 
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
+
 val engine : t -> Engine.t
+(** Always generic: the {!Backing.engine} defaults plus {!set_window}. *)

@@ -36,73 +36,41 @@ let access t ~pid addr =
         Policy.victim_in t.policy b.rng s
           ~base:(Backing.base_of_set b ~set) ~len:w
       in
-      if s.Slab.tags.(way) < 0 || s.Slab.owners.(way) = pid then begin
+      if s.Slab.tags.(way) < 0 || s.Slab.owners.(way) = pid then
         (* Internal miss: replace in place. *)
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+        Backing.install b t.policy way ~addr ~pid ~seq
       else begin
         (* External miss: random set, random line there, swap mappings. *)
         let s' = Rng.int b.rng b.Backing.sets in
         let way' = Backing.base_of_set b ~set:s' + Rng.int b.rng w in
-        let evicted = Slab.victim s way' in
-        Slab.fill s way' ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way';
+        let outcome = Backing.install b t.policy way' ~addr ~pid ~seq in
         Kernel_rp.swap_mapping t.map ~sets:(sets t) pid ~logical
           ~target_set:s';
-        Outcome.fill ~fetched:addr ~evicted
+        outcome
       end
     end
   in
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid addr =
-  Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr
-    ~owner:pid
-  >= 0
-
-let flush_line t ~pid addr =
-  let i =
+let engine ?kernel t =
+  let e =
+    Backing.engine ?kernel t.b
+      ~kernels:
+        ( "rp-" ^ Policy.to_string t.policy,
+          Kernel_rp.access t.map t.policy t.b,
+          Kernel_rp.run t.map t.policy t.b )
+      ~name:(Printf.sprintf "rp-%d-way" (config t).Config.ways)
+      (access t)
+  in
+  (* PID feature: lookups go through the pid's own mapping and require
+     the pid's own copy. *)
+  let find ~pid addr =
     Backing.find_tag_owned t.b ~set:(physical_set t ~pid addr) ~tag:addr
       ~owner:pid
   in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
-let engine ?(kernel = Kernel.Auto) t =
-  let access, run, kernel_name, run_name =
-    Kernel.select kernel
-      ~name:("rp-" ^ Policy.to_string t.policy)
-      ~fallback:(access t)
-      ~access:(Kernel_rp.access t.map t.policy t.b)
-      ~run:(Kernel_rp.run t.map t.policy t.b)
-  in
   {
-    Engine.name = Printf.sprintf "rp-%d-way" (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    kernel = kernel_name;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access;
-    access_run = run;
-    run_kernel = run_name;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
+    e with
+    Engine.peek = (fun ~pid addr -> find ~pid addr >= 0);
+    flush_line = (fun ~pid addr -> Backing.flush_at t.b ~pid (find ~pid addr));
   }

@@ -28,9 +28,6 @@ val create :
 
 val config : t -> Config.t
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
 
 val table : t -> pid:int -> int array
 (** A copy of the pid's current permutation table (created on first use as
@@ -41,8 +38,10 @@ val set_identity : t -> pid:int -> unit
     of the permutation feature for his own process). *)
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
-(** [?kernel] (default [Auto]) binds {!Kernel_rp}'s access kernel and its
-    batched twin, which serve every policy; [Scalar] binds the scalar
+(** [peek] and [flush_line] see only the pid's own copy in its own
+    mapped set. [?kernel] (default [Auto]) binds {!Kernel_rp}'s access
+    kernel and its batched twin, which serve every policy; [Scalar]
+    binds the scalar
     kernel under the scalar-looping run; [Generic] keeps the
     policy-dispatching fallback (differential-testing oracle). All are
     bit-identical in state, RNG draws and outcomes; [Engine.t.kernel]

@@ -4,7 +4,10 @@
     a matching address, which is what makes the conventional cache leak
     through all four attack types. With [ways = lines] this is the fully
     associative cache; the paper's baseline uses random replacement "since
-    this gives better resilience against cache attackers" (Section 3.7). *)
+    this gives better resilience against cache attackers" (Section 3.7).
+
+    [access] is the generic, policy-dispatching path; peek, flush and
+    counters are the {!Backing.engine} defaults on the {!engine}. *)
 
 type t
 
@@ -19,10 +22,6 @@ val create :
 val config : t -> Config.t
 val policy : t -> Policy.t
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
-val counters : t -> Counters.t
 
 val engine : ?kernel:Kernel.selection -> t -> Engine.t
 (** [?kernel] (default [Auto]) binds {!Kernel_sa}'s access kernel and its

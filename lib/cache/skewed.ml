@@ -71,37 +71,12 @@ let access t ~pid addr =
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid addr = find t ~pid addr >= 0
-
-let flush_line t ~pid addr =
-  let i = find t ~pid addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
   {
-    Engine.name = Printf.sprintf "skewed-%d-bank" (banks t);
-    config = config t;
-    sigma = 0.;
-    kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
+    (Backing.engine t.b
+       ~name:(Printf.sprintf "skewed-%d-bank" (banks t))
+       (fun ~pid addr -> access t ~pid addr))
+    with
+    Engine.peek = (fun ~pid addr -> find t ~pid addr >= 0);
+    flush_line = (fun ~pid addr -> Backing.flush_at t.b ~pid (find t ~pid addr));
   }

@@ -30,7 +30,7 @@ val slot_of : t -> pid:int -> bank:int -> int -> int
     for tests; a real implementation would keep this secret). *)
 
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
+
 val engine : t -> Engine.t
+(** Always generic; [peek] and [flush_line] probe the pid's own hashed
+    slot in every bank. *)

@@ -10,9 +10,8 @@
      addresses), so [invalid_tag = -1] can never collide with a real
      tag and the valid bit needs no slab of its own.
    - invalid lines keep [owners = -1], [locked = 0], [aux = 0] and
-     retain their timestamps, mirroring [Line.invalidate]/[Line.make]
-     exactly (so {!line} snapshots are bit-compatible with the seed
-     per-line records).
+     retain their timestamps, as the seed per-line records did (so
+     {!line} snapshots are bit-compatible with them).
    - set [s] occupies the contiguous index range
      [s * ways, (s + 1) * ways): the per-set stride is [ways] and every
      range handed to the scan loops below satisfies
@@ -154,7 +153,7 @@ let set_locked t i v = t.locked.(i) <- (if v then 1 else 0)
 (* --- cold views ----------------------------------------------------- *)
 
 (* Materialize one line as the classic boxed record — the dump/debug
-   view. Invalid lines report [tag = 0], matching [Line.invalidate]. *)
+   view. Invalid lines report [tag = 0], as the seed records did. *)
 let line t i =
   let v = valid t i in
   {

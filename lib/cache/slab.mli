@@ -77,15 +77,15 @@ val max_freq : t -> base:int -> len:int -> int
 
 val fill : t -> int -> tag:int -> owner:int -> seq:int -> unit
 (** Install a memory line: clears the lock bit and [aux], sets both
-    timestamps (same contract as [Line.fill]) and resets the frequency
-    counter to 1 (the fill itself is the first use). *)
+    timestamps and resets the frequency counter to 1 (the fill itself
+    is the first use). *)
 
 val touch : t -> int -> seq:int -> unit
 (** LRU bookkeeping for a hit. *)
 
 val invalidate : t -> int -> unit
 (** Clear the line ([owner = -1], lock, [aux] and [freq] cleared;
-    timestamps retained — same contract as [Line.invalidate]). *)
+    timestamps retained). *)
 
 val victim : t -> int -> (int * int) option
 (** [(owner, tag)] if the line is valid — the eviction payload when the

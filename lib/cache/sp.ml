@@ -21,13 +21,14 @@ let create ?(config = Config.standard) ?(policy = Policy.Random)
     partition_of_pid;
   }
 
-let create_two_domain ?config ?policy ~victim_pid ~victim_lines ~rng () =
+let create_two_domain ?config ?policy ?partitions ~victim_pid ~victim_lines
+    ~rng () =
   let in_victim_ranges line =
     List.exists (fun (lo, hi) -> line >= lo && line <= hi) victim_lines
   in
   let home line = if in_victim_ranges line then 0 else 1 in
   let partition_of_pid pid = if pid = victim_pid then 0 else 1 in
-  create ?config ?policy ~partitions:2 ~home ~partition_of_pid ~rng ()
+  create ?config ?policy ?partitions ~home ~partition_of_pid ~rng ()
 
 let config t = t.b.Backing.cfg
 let sets_per_partition t = Config.sets t.b.Backing.cfg / t.partitions
@@ -60,52 +61,19 @@ let access t ~pid addr =
       if own <> t.home addr then
         (* Cross-partition miss: served from memory, nothing displaced. *)
         Outcome.miss_uncached
-      else begin
+      else
         let way =
           Policy.victim_in t.policy b.rng s
             ~base:(Backing.base_of_set b ~set) ~len:b.cfg.Config.ways
         in
-        let evicted = Slab.victim s way in
-        Slab.fill s way ~tag:addr ~owner:pid ~seq;
-        Policy.filled t.policy s way;
-        Outcome.fill ~fetched:addr ~evicted
-      end
+        Backing.install b t.policy way ~addr ~pid ~seq
     end
   in
   Counters.record b.counters ~pid outcome;
   outcome
 
-let peek t ~pid:_ addr = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr >= 0
-
-let flush_line t ~pid addr =
-  let i = Backing.find_tag t.b ~set:(set_of t addr) ~tag:addr in
-  if i >= 0 then begin
-    Slab.invalidate t.b.Backing.slab i;
-    Counters.record_flush t.b.Backing.counters ~pid;
-    true
-  end
-  else false
-
-let flush_all t = Backing.flush_all t.b
-
 let engine t =
-  {
-    Engine.name = Printf.sprintf "sp-%d-part-%d-way" t.partitions (config t).Config.ways;
-    config = config t;
-    sigma = 0.;
-    kernel = Kernel.generic;
-    slab_bytes = Slab.bytes t.b.Backing.slab;
-    access = (fun ~pid addr -> access t ~pid addr);
-    access_run = Kernel.run_of_scalar (fun ~pid addr -> access t ~pid addr);
-    run_kernel = Kernel.generic;
-    peek = (fun ~pid addr -> peek t ~pid addr);
-    flush_line = (fun ~pid addr -> flush_line t ~pid addr);
-    flush_all = (fun () -> flush_all t);
-    lock_line = Engine.no_lock;
-    unlock_line = Engine.no_lock;
-    set_window = Engine.no_window;
-    counters = (fun () -> Counters.global t.b.Backing.counters);
-    counters_for = (fun pid -> Counters.for_pid t.b.Backing.counters pid);
-    reset_counters = (fun () -> Counters.reset t.b.Backing.counters);
-    dump = (fun () -> Backing.dump t.b);
-  }
+  Backing.engine t.b ~set_of:(set_of t)
+    ~name:
+      (Printf.sprintf "sp-%d-part-%d-way" t.partitions (config t).Config.ways)
+    (fun ~pid addr -> access t ~pid addr)

@@ -31,19 +31,22 @@ val create :
 val create_two_domain :
   ?config:Config.t ->
   ?policy:Policy.t ->
+  ?partitions:int ->
   victim_pid:int ->
   victim_lines:(int * int) list ->
   rng:Cachesec_stats.Rng.t ->
   unit ->
   t
-(** Convenience two-partition construction: partition 0 belongs to
-    [victim_pid] and homes every line inside the inclusive ranges
-    [victim_lines]; everything else is partition 1. *)
+(** Two-domain construction: partition 0 belongs to [victim_pid] and
+    homes every line inside the inclusive ranges [victim_lines];
+    everything else is partition 1. [partitions] (default 2) is the
+    static split of the sets; partitions past 1 stay unused.
+    {!Factory.build} builds every SP engine this way. *)
 
 val config : t -> Config.t
 val sets_per_partition : t -> int
 val access : t -> pid:int -> int -> Outcome.t
-val peek : t -> pid:int -> int -> bool
-val flush_line : t -> pid:int -> int -> bool
-val flush_all : t -> unit
+
 val engine : t -> Engine.t
+(** Always generic; [peek]/[flush_line] look a line up in its home
+    partition's set. *)

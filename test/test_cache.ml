@@ -40,23 +40,7 @@ let prop_address_roundtrip =
       let c = Config.standard in
       (Address.tag c line * Config.sets c) + Address.set_index c line = line)
 
-(* --- Line / replacement ----------------------------------------------- *)
-
-let test_line () =
-  let l = Line.make () in
-  Alcotest.(check bool) "fresh invalid" false l.Line.valid;
-  Line.fill l ~tag:42 ~owner:7 ~seq:3;
-  Alcotest.(check bool) "filled" true l.Line.valid;
-  Alcotest.(check int) "tag" 42 l.Line.tag;
-  Alcotest.(check int) "owner" 7 l.Line.owner;
-  l.Line.locked <- true;
-  Line.touch l ~seq:9;
-  Alcotest.(check int) "touched" 9 l.Line.last_use;
-  Alcotest.(check int) "fill seq kept" 3 l.Line.fill_seq;
-  Line.fill l ~tag:1 ~owner:1 ~seq:10;
-  Alcotest.(check bool) "fill clears lock" false l.Line.locked;
-  Line.invalidate l;
-  Alcotest.(check bool) "invalidated" false l.Line.valid
+(* --- Replacement -------------------------------------------------------- *)
 
 let filled_slab ~lines ~ways =
   let s = Slab.create ~lines ~ways in
@@ -285,23 +269,25 @@ let test_sa_eviction_reported () =
 
 let test_sa_peek_nonmutating () =
   let sa = Sa.create ~rng:(rng ()) () in
+  let e = Sa.engine sa in
   ignore (Sa.access sa ~pid:0 7);
-  Alcotest.(check bool) "peek true" true (Sa.peek sa ~pid:0 7);
-  Alcotest.(check bool) "peek false" false (Sa.peek sa ~pid:0 8);
-  let before = (Counters.global (Sa.counters sa)).Counters.accesses in
-  ignore (Sa.peek sa ~pid:0 7);
+  Alcotest.(check bool) "peek true" true (e.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "peek false" false (e.Engine.peek ~pid:0 8);
+  let before = (e.Engine.counters ()).Counters.accesses in
+  ignore (e.Engine.peek ~pid:0 7);
   Alcotest.(check int) "no access recorded" before
-    (Counters.global (Sa.counters sa)).Counters.accesses
+    (e.Engine.counters ()).Counters.accesses
 
 let test_sa_flush () =
   let sa = Sa.create ~rng:(rng ()) () in
+  let e = Sa.engine sa in
   ignore (Sa.access sa ~pid:0 7);
-  Alcotest.(check bool) "flush removes" true (Sa.flush_line sa ~pid:1 7);
-  Alcotest.(check bool) "absent now" false (Sa.peek sa ~pid:0 7);
-  Alcotest.(check bool) "second flush false" false (Sa.flush_line sa ~pid:1 7);
+  Alcotest.(check bool) "flush removes" true (e.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "absent now" false (e.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "second flush false" false (e.Engine.flush_line ~pid:1 7);
   ignore (Sa.access sa ~pid:0 7);
-  Sa.flush_all sa;
-  Alcotest.(check bool) "flush all" false (Sa.peek sa ~pid:0 7)
+  e.Engine.flush_all ();
+  Alcotest.(check bool) "flush all" false (e.Engine.peek ~pid:0 7)
 
 let test_sa_lru_exact () =
   let config = Config.v ~line_bytes:64 ~lines:8 ~ways:2 in
@@ -320,7 +306,7 @@ let test_sa_fully_associative () =
   for i = 0 to 511 do
     ignore (Sa.access sa ~pid:0 (i * 64))
   done;
-  let snap = Counters.global (Sa.counters sa) in
+  let snap = (Sa.engine sa).Engine.counters () in
   Alcotest.(check int) "no evictions while filling" 0 snap.Counters.evictions
 
 let test_sa_engine () =
@@ -368,8 +354,9 @@ let test_sp_attacker_cannot_evict_victim () =
   for i = 0 to 5000 do
     ignore (Sp.access sp ~pid:1 (1000 + i))
   done;
+  let e = Sp.engine sp in
   let victim_lines_alive =
-    List.for_all (fun i -> Sp.peek sp ~pid:0 i) (List.init 100 Fun.id)
+    List.for_all (fun i -> e.Engine.peek ~pid:0 i) (List.init 100 Fun.id)
   in
   Alcotest.(check bool) "all victim lines alive" true victim_lines_alive
 
@@ -385,14 +372,15 @@ let test_sp_validation () =
 
 let test_pl_lock_protects () =
   let pl = Pl.create ~rng:(rng ()) () in
+  let e = Pl.engine pl in
   Alcotest.(check bool) "lock ok" true (Pl.lock_line pl ~pid:0 5);
-  Alcotest.(check bool) "present" true (Pl.peek pl ~pid:0 5);
+  Alcotest.(check bool) "present" true (e.Engine.peek ~pid:0 5);
   (* Exhaustive attacker pressure on the same set cannot dislodge it. *)
   let sets = Config.sets (Pl.config pl) in
   for k = 1 to 2000 do
     ignore (Pl.access pl ~pid:1 (5 + (k * sets)))
   done;
-  Alcotest.(check bool) "still locked in" true (Pl.peek pl ~pid:0 5);
+  Alcotest.(check bool) "still locked in" true (e.Engine.peek ~pid:0 5);
   Alcotest.(check (list int)) "locked lines" [ 5 ] (Pl.locked_lines pl)
 
 let test_pl_read_through_on_locked_victim () =
@@ -418,9 +406,11 @@ let test_pl_unlock_owner_only () =
 
 let test_pl_flush_respects_lock () =
   let pl = Pl.create ~rng:(rng ()) () in
+  let e = Pl.engine pl in
   ignore (Pl.lock_line pl ~pid:0 5);
-  Alcotest.(check bool) "attacker flush denied" false (Pl.flush_line pl ~pid:1 5);
-  Alcotest.(check bool) "owner flush ok" true (Pl.flush_line pl ~pid:0 5)
+  Alcotest.(check bool) "attacker flush denied" false
+    (e.Engine.flush_line ~pid:1 5);
+  Alcotest.(check bool) "owner flush ok" true (e.Engine.flush_line ~pid:0 5)
 
 let test_pl_unlocked_behaves_normally () =
   let pl = Pl.create ~rng:(rng ()) () in
@@ -449,9 +439,10 @@ let test_nomo_attacker_cannot_monopolize () =
   for k = 2 to 3000 do
     ignore (Nomo.access nm ~pid:1 (5 + (k * sets)))
   done;
-  Alcotest.(check bool) "victim line 1 alive" true (Nomo.peek nm ~pid:0 5);
+  let e = Nomo.engine nm in
+  Alcotest.(check bool) "victim line 1 alive" true (e.Engine.peek ~pid:0 5);
   Alcotest.(check bool) "victim line 2 alive" true
-    (Nomo.peek nm ~pid:0 (5 + sets))
+    (e.Engine.peek ~pid:0 (5 + sets))
 
 let test_nomo_victim_spills_when_exceeding () =
   let nm = Nomo.create ~reserved:1 ~protected_pids:[ 0 ] ~rng:(rng ()) () in
@@ -486,7 +477,8 @@ let test_newcache_pid_isolation () =
   Alcotest.(check bool) "other context misses same address" true
     (Outcome.is_miss (Newcache.access nc ~pid:1 7));
   (* Both copies can coexist. *)
-  Alcotest.(check bool) "victim copy alive" true (Newcache.peek nc ~pid:0 7)
+  Alcotest.(check bool) "victim copy alive" true
+    ((Newcache.engine nc).Engine.peek ~pid:0 7)
 
 let test_newcache_index_conflict () =
   let nc = Newcache.create ~extra_bits:0 ~rng:(rng ()) () in
@@ -496,15 +488,17 @@ let test_newcache_index_conflict () =
   let o = Newcache.access nc ~pid:0 (7 + 512) in
   Alcotest.(check bool) "conflict evicted old" true
     (List.mem (0, 7) (Outcome.evictions o));
-  Alcotest.(check bool) "old gone" false (Newcache.peek nc ~pid:0 7);
-  Alcotest.(check bool) "new present" true (Newcache.peek nc ~pid:0 (7 + 512))
+  let e = Newcache.engine nc in
+  Alcotest.(check bool) "old gone" false (e.Engine.peek ~pid:0 7);
+  Alcotest.(check bool) "new present" true (e.Engine.peek ~pid:0 (7 + 512))
 
 let test_newcache_flush_own_only () =
   let nc = Newcache.create ~rng:(rng ()) () in
+  let e = Newcache.engine nc in
   ignore (Newcache.access nc ~pid:0 7);
   Alcotest.(check bool) "attacker flush misses victim copy" false
-    (Newcache.flush_line nc ~pid:1 7);
-  Alcotest.(check bool) "victim flush works" true (Newcache.flush_line nc ~pid:0 7)
+    (e.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "victim flush works" true (e.Engine.flush_line ~pid:0 7)
 
 let test_newcache_cam_consistency () =
   (* After a busy random workload, peek must agree with a full scan of
@@ -603,10 +597,11 @@ let test_rp_external_miss_randomizes () =
   for k = 0 to 49 do
     ignore (Rp.access rp ~pid:1 (100032 + 5 + (k * sets)))
   done;
+  let e = Rp.engine rp in
   let survivors =
     List.length
       (List.filter
-         (fun k -> Rp.peek rp ~pid:0 (5 + (k * sets)))
+         (fun k -> e.Engine.peek ~pid:0 (5 + (k * sets)))
          (List.init 8 Fun.id))
   in
   Alcotest.(check bool) "most victim lines survive" true (survivors >= 4)
@@ -697,8 +692,8 @@ let test_noisy () =
   Alcotest.(check (float 0.)) "sigma stored" 1.5 (Noisy.sigma n);
   let e = Noisy.engine n in
   Alcotest.(check (float 0.)) "engine sigma" 1.5 e.Engine.sigma;
-  ignore (Noisy.access n ~pid:0 3);
-  Alcotest.(check bool) "behaves like SA" true (Noisy.peek n ~pid:0 3);
+  ignore (e.Engine.access ~pid:0 3);
+  Alcotest.(check bool) "behaves like SA" true (e.Engine.peek ~pid:0 3);
   Alcotest.check_raises "negative sigma"
     (Invalid_argument "Noisy.create: negative sigma") (fun () ->
       ignore (Noisy.create ~sigma:(-1.) ~rng:(rng ()) ()))
@@ -778,6 +773,73 @@ let test_factory_rf_window () =
   let o = e.Engine.access ~pid:1 999999 in
   Alcotest.(check bool) "attacker demand" true o.Outcome.cached
 
+(* The engine labels of the nine paper specs under the default kernel
+   selection, pinned literally: the engine constructor must not rename
+   an engine or re-route its access paths. *)
+let test_engine_labels () =
+  let expected =
+    [
+      ("sa", ("sa-8-way-random", "sa-random", "sa-random"));
+      ("sp", ("sp-2-part-8-way", "generic", "generic"));
+      ("pl", ("pl-8-way", "pl-random", "pl-random"));
+      ("nomo", ("nomo-2/8-reserved", "generic", "generic"));
+      ("newcache", ("newcache-8192-logical", "newcache", "newcache"));
+      ("rp", ("rp-8-way", "rp-random", "rp-random"));
+      ("rf", ("rf-8-way", "generic", "generic"));
+      ("re", ("re-1-way-T10", "generic", "generic"));
+      ("noisy", ("noisy-sigma-1", "sa-random", "sa-random"));
+    ]
+  in
+  Alcotest.(check (list string)) "paper specs" (List.map fst expected)
+    (List.map Spec.name Spec.all_paper);
+  List.iter2
+    (fun spec (_, (name, kernel, run_kernel)) ->
+      let e = Factory.build spec Factory.default_scenario ~rng:(rng ()) in
+      let label = Spec.name spec in
+      Alcotest.(check string) (label ^ " name") name e.Engine.name;
+      Alcotest.(check string) (label ^ " kernel") kernel e.Engine.kernel;
+      Alcotest.(check string) (label ^ " run_kernel") run_kernel
+        e.Engine.run_kernel)
+    Spec.all_paper expected
+
+let snapshot (c : Counters.snapshot) =
+  Counters.
+    [ c.accesses; c.hits; c.misses; c.evictions; c.read_throughs; c.flushes ]
+
+(* The cold-path operations of every engine: pid 1 is unprotected,
+   outside SP's victim partition and demand-fetched under RF, so every
+   architecture caches line 1000 for it on demand. *)
+let test_engine_cold_path () =
+  let engines =
+    List.map
+      (fun spec ->
+        (Spec.name spec, Factory.build spec Factory.default_scenario ~rng:(rng ())))
+      Spec.all_paper
+    @ [ ("skewed", Skewed.engine (Skewed.create ~rng:(rng ()) ())) ]
+  in
+  let pid = 1 and line = 1000 in
+  List.iter
+    (fun (label, (e : Engine.t)) ->
+      let check what = Alcotest.(check bool) (label ^ " " ^ what) in
+      check "first access caches" true (e.Engine.access ~pid line).Outcome.cached;
+      let counters = e.Engine.counters () and dump = e.Engine.dump () in
+      check "peek hits" true (e.Engine.peek ~pid line);
+      Alcotest.(check (list int)) (label ^ " peek leaves counters")
+        (snapshot counters) (snapshot (e.Engine.counters ()));
+      check "peek leaves dump" true (dump = e.Engine.dump ());
+      check "flush removes" true (e.Engine.flush_line ~pid line);
+      check "second flush finds nothing" false (e.Engine.flush_line ~pid line);
+      Alcotest.(check int) (label ^ " flush counted") 1
+        (e.Engine.counters_for pid).Counters.flushes;
+      ignore (e.Engine.access ~pid line);
+      check "refilled" true (e.Engine.dump () <> []);
+      e.Engine.flush_all ();
+      check "flush_all empties" true (e.Engine.dump () = []);
+      e.Engine.reset_counters ();
+      Alcotest.(check (list int)) (label ^ " reset") [ 0; 0; 0; 0; 0; 0 ]
+        (snapshot (e.Engine.counters ())))
+    engines
+
 let () =
   Alcotest.run "cache"
     [
@@ -789,7 +851,6 @@ let () =
         ] );
       ( "replacement",
         [
-          Alcotest.test_case "line state" `Quick test_line;
           Alcotest.test_case "invalid first" `Quick test_replacement_invalid_first;
           Alcotest.test_case "lru" `Quick test_replacement_lru;
           Alcotest.test_case "random uniform" `Quick test_replacement_random_uniform;
@@ -891,5 +952,7 @@ let () =
           Alcotest.test_case "factory builds all" `Quick test_factory_builds_all;
           Alcotest.test_case "sp homing" `Quick test_factory_sp_homing;
           Alcotest.test_case "rf window" `Quick test_factory_rf_window;
+          Alcotest.test_case "engine labels" `Quick test_engine_labels;
+          Alcotest.test_case "engine cold path" `Quick test_engine_cold_path;
         ] );
     ]

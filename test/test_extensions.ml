@@ -31,7 +31,8 @@ let test_skewed_domain_isolation () =
   ignore (Skewed.access c ~pid:0 7);
   Alcotest.(check bool) "cross-domain miss" true
     (Outcome.is_miss (Skewed.access c ~pid:1 7));
-  Alcotest.(check bool) "victim copy alive" true (Skewed.peek c ~pid:0 7)
+  Alcotest.(check bool) "victim copy alive" true
+    ((Skewed.engine c).Engine.peek ~pid:0 7)
 
 let test_skewed_mappings_differ () =
   let c = Skewed.create ~rng:(rng ()) () in
@@ -66,7 +67,7 @@ let test_skewed_no_deterministic_conflict () =
     for k = 1 to 200 do
       ignore (Skewed.access c ~pid:1 (10000 + k))
     done;
-    if Skewed.peek c ~pid:0 7 then incr survived
+    if (Skewed.engine c).Engine.peek ~pid:0 7 then incr survived
   done;
   (* Each attacker miss evicts the victim line w.p. 1/512: 200 accesses
      leave it alive w.p. ~0.68. *)
@@ -74,13 +75,14 @@ let test_skewed_no_deterministic_conflict () =
 
 let test_skewed_flush () =
   let c = Skewed.create ~rng:(rng ()) () in
+  let e = Skewed.engine c in
   ignore (Skewed.access c ~pid:0 7);
   Alcotest.(check bool) "attacker cannot flush victim copy" false
-    (Skewed.flush_line c ~pid:1 7);
-  Alcotest.(check bool) "owner flush" true (Skewed.flush_line c ~pid:0 7);
+    (e.Engine.flush_line ~pid:1 7);
+  Alcotest.(check bool) "owner flush" true (e.Engine.flush_line ~pid:0 7);
   ignore (Skewed.access c ~pid:0 7);
-  Skewed.flush_all c;
-  Alcotest.(check bool) "flush all" false (Skewed.peek c ~pid:0 7)
+  e.Engine.flush_all ();
+  Alcotest.(check bool) "flush all" false (e.Engine.peek ~pid:0 7)
 
 (* --- Workload ------------------------------------------------------------- *)
 
