@@ -228,22 +228,15 @@ let prepas_cmd =
       k
       (Cachesec_report.Table.fmt_prob (Prepas.for_spec spec ~k));
     if mc then begin
+      let ctx = { Run.default with Run.seed } in
+      let game = Driver.cleaning_game spec ~accesses:k ~samples in
       match ci_width with
       | None ->
-        let rng = Cachesec_stats.Rng.create ~seed in
         Printf.printf "Monte-Carlo estimate (%d samples) = %s\n" samples
-          (Cachesec_report.Table.fmt_prob
-             (Cachesec_attacks.Cleaner.monte_carlo spec ~accesses:k ~samples
-                ~rng))
+          (Cachesec_report.Table.fmt_prob Driver.(await (submit ctx game)))
       | Some w ->
-        let ctx = { Run.default with Run.seed } in
         let target = cleaning_target ~confidence ~ci_width:w ~samples in
-        let a =
-          Driver.(
-            await
-              (submit_adaptive ctx ~target
-                 (cleaning_game spec ~accesses:k ~samples)))
-        in
+        let a = Driver.(await (submit_adaptive ctx ~target game)) in
         Printf.printf
           "Monte-Carlo estimate (adaptive, %d of %d samples%s) = %s (ci \
            half-width %.4g @ %.0f%%)\n"
@@ -413,63 +406,51 @@ let policy_matrix_cmd =
         match policy with Some p -> [ p ] | None -> Policy.all
       in
       let ks = [ ways - 1; ways; 4 * ways ] in
-      match ci_width with
+      (* One cleaning game per (policy, k): the fixed plan of [samples]
+         games, or, with --ci-width, run until the win rate's Wilson
+         half-width reaches the target, capped at [samples]. *)
+      let ctx = { Run.default with Run.seed } in
+      let target =
+        Option.map
+          (fun w -> cleaning_target ~confidence ~ci_width:w ~samples)
+          ci_width
+      in
+      (match ci_width with
       | None ->
         Printf.printf
           "\nClosed form vs Monte-Carlo cleaning game (SA %d-way, %d \
            samples):\n"
-          ways samples;
-        Printf.printf "  %-8s %6s %12s %12s %s\n" "policy" "k" "closed" "mc"
-          "agree";
-        List.iter
-          (fun p ->
-            let spec = Spec.with_policy Spec.paper_sa p in
-            List.iter
-              (fun k ->
-                let closed = Prepas.for_spec spec ~k in
-                let rng = Cachesec_stats.Rng.create ~seed in
-                let mc =
-                  Cachesec_attacks.Cleaner.monte_carlo spec ~accesses:k
-                    ~samples ~rng
-                in
-                Printf.printf "  %-8s %6d %12.4f %12.4f %s\n"
-                  (Policy.to_string p) k closed mc
-                  (if Float.abs (closed -. mc) < 0.05 then "yes" else "NO"))
-              ks)
-          checked_policies
+          ways samples
       | Some w ->
-        (* Run-to-confidence cross-check: each cleaning game stops once
-           the win rate's Wilson half-width reaches the target, capped
-           at --samples. *)
-        let ctx = { Run.default with Run.seed } in
-        let target = cleaning_target ~confidence ~ci_width:w ~samples in
         Printf.printf
           "\nClosed form vs adaptive Monte-Carlo cleaning game (SA %d-way, \
            cap %d, ci %.4g @ %.0f%%):\n"
-          ways samples w (100. *. confidence);
-        Printf.printf "  %-8s %6s %12s %12s %12s %s\n" "policy" "k" "closed"
-          "mc" "trials" "agree";
-        let total = ref 0 and caps = ref 0 in
-        List.iter
-          (fun p ->
-            let spec = Spec.with_policy Spec.paper_sa p in
-            List.iter
-              (fun k ->
-                let closed = Prepas.for_spec spec ~k in
-                let a =
-                  Driver.(
-                    await
-                      (submit_adaptive ctx ~target
-                         (cleaning_game spec ~accesses:k ~samples)))
-                in
-                total := !total + a.Driver.trials;
-                caps := !caps + a.Driver.cap;
-                Printf.printf "  %-8s %6d %12.4f %12.4f %12d %s\n"
-                  (Policy.to_string p) k closed a.Driver.value a.Driver.trials
-                  (if Float.abs (closed -. a.Driver.value) < 0.05 then "yes"
-                   else "NO"))
-              ks)
-          checked_policies;
+          ways samples w (100. *. confidence));
+      Printf.printf "  %-8s %6s %12s %12s %12s %s\n" "policy" "k" "closed"
+        "mc" "trials" "agree";
+      let total = ref 0 and caps = ref 0 in
+      List.iter
+        (fun p ->
+          let spec = Spec.with_policy Spec.paper_sa p in
+          List.iter
+            (fun k ->
+              let closed = Prepas.for_spec spec ~k in
+              let game = Driver.cleaning_game spec ~accesses:k ~samples in
+              let mc, trials =
+                match target with
+                | None -> (Driver.(await (submit ctx game)), samples)
+                | Some target ->
+                  let a = Driver.(await (submit_adaptive ctx ~target game)) in
+                  (a.Driver.value, a.Driver.trials)
+              in
+              total := !total + trials;
+              caps := !caps + samples;
+              Printf.printf "  %-8s %6d %12.4f %12.4f %12d %s\n"
+                (Policy.to_string p) k closed mc trials
+                (if Float.abs (closed -. mc) < 0.05 then "yes" else "NO"))
+            ks)
+        checked_policies;
+      if Option.is_some target then
         Printf.printf "  adaptive: %d of %d trials (%.1fx saved)\n" !total
           !caps
           (float_of_int !caps /. Float.max 1. (float_of_int !total))

@@ -8,11 +8,12 @@
 open Cachesec_stats
 open Cachesec_cache
 open Cachesec_analysis
-open Cachesec_attacks
 open Cachesec_report
+open Cachesec_runtime
+open Cachesec_experiments
 
 let () =
-  let rng = Rng.create ~seed:5 in
+  let seed = 5 in
   let ks = [ 8; 12; 16; 24; 32; 48 ] in
   let samples = 1500 in
   let caches =
@@ -29,20 +30,29 @@ let () =
     "pre-PAS: probability of cleaning the victim's set within k accesses\n\
      (closed form / Monte Carlo with %d samples)\n\n" samples;
   let headers = "cache" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks in
+  (* Each (cache, k) cell is a cleaning-game campaign on its own derived
+     seed; all are submitted before the first await. *)
+  let nks = List.length ks in
   let rows =
-    List.map
-      (fun (name, spec) ->
-        name
-        :: List.map
-             (fun k ->
-               let cf = Prepas.for_spec spec ~k in
-               let mc =
-                 Cleaner.monte_carlo spec ~accesses:k ~samples
-                   ~rng:(Rng.split rng)
-               in
-               Printf.sprintf "%s/%s" (Table.fmt_prob cf) (Table.fmt_prob mc))
-             ks)
+    List.mapi
+      (fun ci (name, spec) ->
+        let cells =
+          List.mapi
+            (fun ki k ->
+              let cell_seed = Rng.derive_seed seed ((ci * nks) + ki + 1) in
+              Driver.map_pending
+                (fun mc ->
+                  Printf.sprintf "%s/%s"
+                    (Table.fmt_prob (Prepas.for_spec spec ~k))
+                    (Table.fmt_prob mc))
+                (Driver.submit
+                   (Run.with_seed cell_seed Run.default)
+                   (Driver.cleaning_game spec ~accesses:k ~samples)))
+            ks
+        in
+        (name, cells))
       caches
+    |> List.map (fun (name, cells) -> name :: Driver.await_all cells)
   in
   print_string (Table.render ~headers ~rows ());
   Printf.printf

@@ -1,5 +1,4 @@
 open Cachesec_cache
-open Cachesec_stats
 
 let victim_pid = 0
 let attacker_pid = 1
@@ -52,19 +51,3 @@ let clean_once spec ~rng ~accesses =
   done;
   targets <> []
   && List.for_all (fun l -> not (engine.Engine.peek ~pid:victim_pid l)) targets
-
-let count_wins spec ~accesses ~samples ~rng =
-  if samples <= 0 then invalid_arg "Cleaner.monte_carlo: samples must be positive";
-  let wins = ref 0 in
-  for _ = 1 to samples do
-    if clean_once spec ~rng:(Rng.split rng) ~accesses then incr wins
-  done;
-  !wins
-
-let monte_carlo spec ~accesses ~samples ~rng =
-  float_of_int (count_wins spec ~accesses ~samples ~rng) /. float_of_int samples
-
-let sweep spec ~accesses_list ~samples ~rng =
-  List.map
-    (fun accesses -> (accesses, monte_carlo spec ~accesses ~samples ~rng))
-    accesses_list

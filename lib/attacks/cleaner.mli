@@ -1,13 +1,15 @@
 (** The attacker's cache-cleaning prerequisite (paper Section 5).
 
     Collision and flush-and-reload attacks need the security-critical data
-    out of the cache first. This module Monte-Carlo-estimates the
-    probability that an attacker succeeds by issuing [accesses] distinct
-    memory reads that map into the victim's cache set — the empirical
-    counterpart of the paper's closed-form pre-PAS (which
-    {!Cachesec_analysis.Prepas} computes analytically).
+    out of the cache first. One game: the attacker issues [accesses]
+    distinct memory reads that map into the victim's cache set and wins
+    if none of the victim's target lines still hits. The fraction of
+    games won is the empirical counterpart of the paper's closed-form
+    pre-PAS (which {!Cachesec_analysis.Prepas} computes analytically);
+    [Driver.cleaning_game] estimates it as a sharded, optionally
+    adaptive campaign of independent games.
 
-    Per sample: the victim fills the target set ([ways] of his lines; a
+    Per game: the victim fills the target set ([ways] of his lines; a
     single line for Newcache, whose success criterion is evicting one
     designated physical line; locked lines for PL — its intended use),
     then the attacker issues his reads, and success is judged by whether
@@ -23,23 +25,4 @@ open Cachesec_cache
 
 val clean_once :
   Spec.t -> rng:Cachesec_stats.Rng.t -> accesses:int -> bool
-(** One sample of the cleaning game on a fresh cache. *)
-
-val count_wins :
-  Spec.t -> accesses:int -> samples:int -> rng:Cachesec_stats.Rng.t -> int
-(** Number of successful samples out of [samples] — the mergeable
-    (additive) partial behind {!monte_carlo}, used by the trial runtime
-    to shard the cleaning game across Domains. [samples] must be
-    positive. *)
-
-val monte_carlo :
-  Spec.t -> accesses:int -> samples:int -> rng:Cachesec_stats.Rng.t -> float
-(** Fraction of successful samples. [samples] must be positive. *)
-
-val sweep :
-  Spec.t ->
-  accesses_list:int list ->
-  samples:int ->
-  rng:Cachesec_stats.Rng.t ->
-  (int * float) list
-(** The (k, pre-PAS) series behind a Figure 8-style curve. *)
+(** One game of the cleaning game on a fresh cache. *)

@@ -34,14 +34,12 @@ let owned_in_range t ~base ~len ~pid =
 (* The set's ways split into two contiguous slices: the first [reserved]
    ways and the shared remainder. A protected pid that holds fewer than
    [reserved] lines in the whole set fills into the reserved slice;
-   everyone else fills into the shared slice. Returns (base, len). *)
-let fill_range t ~set ~pid =
-  let base = Backing.base_of_set t.b ~set in
-  let w = t.b.Backing.cfg.Config.ways in
-  if not (is_protected t pid) then (base + t.reserved, w - t.reserved)
-  else if owned_in_range t ~base ~len:w ~pid < t.reserved then
-    (base, t.reserved)
-  else (base + t.reserved, w - t.reserved)
+   everyone else fills into the shared slice. Both slices are non-empty
+   when chosen: [reserved < ways] is checked at create, and only
+   [reserved > 0] lets a pid own fewer than [reserved] lines. *)
+let fills_reserved t ~base ~pid =
+  is_protected t pid
+  && owned_in_range t ~base ~len:t.b.Backing.cfg.Config.ways ~pid < t.reserved
 
 let access t ~pid addr =
   let b = t.b in
@@ -55,23 +53,20 @@ let access t ~pid addr =
       Outcome.hit
     end
     else begin
-      let cand_base, cand_len = fill_range t ~set ~pid in
-      if cand_len <= 0 then
-        (* reserved = 0 for a protected pid never happens (owned < 0 is
-           impossible); an empty shared slice can only occur if
-           reserved = ways, excluded at create. Still: serve
-           read-through defensively. *)
-        Outcome.miss_uncached
-      else begin
-        (* The reserved/shared slices are never a whole set, so under
-           Plru the victim choice is the deterministic LRU fallback
-           (tree bits are maintained by the hooks but never consulted
-           for slice-shaped ranges — see {!Policy}). *)
-        let way =
-          Policy.victim_in t.policy b.rng s ~base:cand_base ~len:cand_len
-        in
-        Backing.install b t.policy way ~addr ~pid ~seq
-      end
+      (* The reserved/shared slices are never a whole set, so under
+         Plru the victim choice is the deterministic LRU fallback
+         (tree bits are maintained by the hooks but never consulted
+         for slice-shaped ranges — see {!Policy}). *)
+      let base = Backing.base_of_set b ~set in
+      let r = t.reserved in
+      let way =
+        if fills_reserved t ~base ~pid then
+          Policy.victim_in t.policy b.rng s ~base ~len:r
+        else
+          Policy.victim_in t.policy b.rng s ~base:(base + r)
+            ~len:(b.cfg.Config.ways - r)
+      in
+      Backing.install b t.policy way ~addr ~pid ~seq
     end
   in
   Counters.record b.counters ~pid outcome;

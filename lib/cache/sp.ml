@@ -21,12 +21,16 @@ let create ?(config = Config.standard) ?(policy = Policy.Random)
     partition_of_pid;
   }
 
+(* Top-level scan: a [List.exists] closure capturing [line] would be
+   allocated on every access. [line : int] keeps the comparisons off
+   the polymorphic [compare]. *)
+let rec in_ranges (line : int) = function
+  | [] -> false
+  | (lo, hi) :: rest -> (line >= lo && line <= hi) || in_ranges line rest
+
 let create_two_domain ?config ?policy ?partitions ~victim_pid ~victim_lines
     ~rng () =
-  let in_victim_ranges line =
-    List.exists (fun (lo, hi) -> line >= lo && line <= hi) victim_lines
-  in
-  let home line = if in_victim_ranges line then 0 else 1 in
+  let home line = if in_ranges line victim_lines then 0 else 1 in
   let partition_of_pid pid = if pid = victim_pid then 0 else 1 in
   create ?config ?policy ?partitions ~home ~partition_of_pid ~rng ()
 

@@ -45,7 +45,7 @@ let evict_time_batch = 4096 (* also the attacker's base-rotation period *)
 let prime_probe_batch = 256
 let collision_batch = 8192
 let flush_reload_batch = 256
-let cleaning_batch = 250
+let bernoulli_batch = 250
 
 (* Engine and attack-trial counters -> telemetry, sampled once per
    finished batch (the engines' zero-alloc access path is never touched:
@@ -162,20 +162,25 @@ let flush_reload spec (c : Flush_reload.config) =
     ~merge_into:Flush_reload.merge_into ~observe:Flush_reload.observe
     ~finalize:(Flush_reload.finalize c)
 
-(* The pre-PAS cleaning game: each batch plays its games on its own RNG,
-   and the partial is a win count. *)
-let cleaning_game spec ~accesses ~samples =
+(* A campaign of i.i.d. Bernoulli trials: each batch seeds one RNG from
+   its index and plays its [count] trials, each on a [Rng.split] of it;
+   the partial is a win count. *)
+let bernoulli ~name ~samples trial =
   if samples <= 0 then
-    invalid_arg "Driver.cleaning_game: samples must be positive";
+    invalid_arg ("Driver.bernoulli: " ^ name ^ " samples must be positive");
   Campaign
     {
-      name = "cleaning-game:" ^ Spec.name spec;
-      default_batch = cleaning_batch;
+      name;
+      default_batch = bernoulli_batch;
       total = samples;
       shard =
         (fun ctx b ->
           let rng = Rng.create ~seed:(Run.batch_seed ctx b.Scheduler.index) in
-          Cleaner.count_wins spec ~accesses ~samples:b.Scheduler.count ~rng);
+          let wins = ref 0 in
+          for _ = 1 to b.Scheduler.count do
+            if trial (Rng.split rng) then incr wins
+          done;
+          !wins);
       merge = ( + );
       observe =
         (fun ~trials wins ->
@@ -183,6 +188,10 @@ let cleaning_game spec ~accesses ~samples =
       finalize =
         (fun _ ~trials wins -> float_of_int wins /. float_of_int trials);
     }
+
+let cleaning_game spec ~accesses ~samples =
+  bernoulli ~name:("cleaning-game:" ^ Spec.name spec) ~samples (fun rng ->
+      Cleaner.clean_once spec ~rng ~accesses)
 
 (* --- fixed-plan runs -------------------------------------------------- *)
 
@@ -217,10 +226,9 @@ let submit (ctx : Run.ctx) (Campaign c) =
             Telemetry.count tm "driver.batches" (Array.length plan);
             Telemetry.count tm "driver.trials" c.total
           end;
-          (* The scheduler's index-order fold, shared with
-             [Scheduler.run_reduce]: "merge in batch order" has one
-             definition. [what] attributes an empty-plan failure to the
-             campaign. *)
+          (* The scheduler's index-order fold: "merge in batch order"
+             has one definition. [what] attributes an empty-plan
+             failure to the campaign. *)
           let merged =
             Scheduler.fold_results ~what:(c.name ^ " partials") ~merge:c.merge
               parts

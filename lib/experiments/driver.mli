@@ -3,14 +3,14 @@
     Every Monte-Carlo experiment in this layer is one {!campaign} value:
     a batch plan over the trial index space
     ({!Cachesec_runtime.Scheduler.plan}) in which each batch builds its
-    own fully independent world — a fresh {!Setup.t} (engine, victim,
-    RNG) seeded from the pure hash
-    {!Cachesec_runtime.Run.seed_for_batch} — runs the attack's
-    [run_span] over its slice, and the mergeable partials are folded
-    back together in batch order. Because the plan and the seeds depend
-    only on the experiment definition (never on [jobs]), running with
-    [jobs:1] and [jobs:n] produces bit-identical results; [jobs] buys
-    wall-clock only.
+    own fully independent world seeded from the pure hash
+    {!Cachesec_runtime.Run.seed_for_batch} — a fresh {!Setup.t}
+    (engine, victim, RNG) running the attack's [run_span] over its
+    slice, or one RNG for a {!bernoulli} campaign's trials — and the
+    mergeable partials are folded back together in batch order. Because
+    the plan and the seeds depend only on the experiment definition
+    (never on [jobs]), running with [jobs:1] and [jobs:n] produces
+    bit-identical results; [jobs] buys wall-clock only.
 
     A campaign runs in one of two ways: {!submit} executes its fixed
     plan, {!submit_adaptive} stops at a confidence target. Both take one
@@ -91,11 +91,18 @@ val flush_reload :
   Spec.t -> Flush_reload.config -> Flush_reload.result campaign
 (** Span [flush-reload:<cache>]; stops on {!Flush_reload.observe}. *)
 
+val bernoulli :
+  name:string -> samples:int -> (Rng.t -> bool) -> float campaign
+(** Span [name]: the fraction of [samples] independent trials that
+    return [true]. Each batch seeds one generator from
+    {!Cachesec_runtime.Run.batch_seed} and runs every trial of its slice
+    on a {!Cachesec_stats.Rng.split} of it. Stops on the success rate's
+    Wilson half-width. Raises [Invalid_argument] unless [samples > 0]. *)
+
 val cleaning_game : Spec.t -> accesses:int -> samples:int -> float campaign
-(** Sharded {!Cleaner.monte_carlo}, span [cleaning-game:<cache>]: the
-    fraction of cleaning-game wins over [samples] independent games of
-    [accesses] attacker reads. Stops on the win rate's Wilson
-    half-width. Raises [Invalid_argument] unless [samples > 0]. *)
+(** {!bernoulli} over {!Cleaner.clean_once}, span
+    [cleaning-game:<cache>]: the fraction of cleaning-game wins over
+    [samples] independent games of [accesses] attacker reads. *)
 
 val submit : Run.ctx -> 'r campaign -> 'r pending
 (** Run the campaign's fixed plan of [trials] (the attack config's

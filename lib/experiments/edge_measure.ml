@@ -2,6 +2,7 @@ open Cachesec_stats
 open Cachesec_cache
 open Cachesec_analysis
 open Cachesec_report
+open Cachesec_runtime
 
 type measurement = {
   label : string;
@@ -17,17 +18,13 @@ let attacker_pid = 1
 let scenario =
   { Factory.victim_pid; victim_lines = [ (0, Cachesec_attacks.Attacker.default_base - 1) ] }
 
-let fresh_engine spec rng =
-  let e = Factory.build spec scenario ~rng in
-  (* The cleaning/seeding phases must place deterministic victim lines
-     even under RF (see Cleaner for the same convention). *)
-  e.Engine.set_window ~pid:victim_pid ~back:0 ~fwd:0;
-  e
-
-(* One eviction-stage sample: returns whether the designated victim line
-   was displaced by a single fresh attacker access. *)
+(* One eviction-stage sample: whether the designated victim line was
+   displaced by a single fresh attacker access. *)
 let eviction_sample spec rng =
-  let engine = fresh_engine spec rng in
+  let engine = Factory.build spec scenario ~rng in
+  (* The seeding phase must place deterministic victim lines even under
+     RF (see Cleaner for the same convention). *)
+  engine.Engine.set_window ~pid:victim_pid ~back:0 ~fwd:0;
   let cfg = engine.Engine.config in
   let sets = Config.sets cfg and ways = cfg.Config.ways in
   let target_set = 0 in
@@ -41,50 +38,39 @@ let eviction_sample spec rng =
   | Spec.Pl _ ->
     List.iter (fun l -> ignore (engine.Engine.lock_line ~pid:victim_pid l)) seeded
   | _ -> ());
-  (* Designated line: any victim line in an attacker-evictable slot. *)
+  (* Designated line: a victim line in an attacker-evictable slot. The
+     paper's Nomo row scores evicting an unreserved (shared-way) victim
+     line: every miss fills the first invalid way of its slice, so the
+     victim's first [reserved] lines take the reserved ways and the
+     next one lands in shared way [reserved] (reserved < ways). *)
   let target =
     match spec with
-    | Spec.Newcache _ -> Some 0
-    | Spec.Nomo { reserved; _ } ->
-      (* The paper's Nomo row scores evicting an unreserved (shared-way)
-         victim line. *)
-      engine.Engine.dump ()
-      |> List.find_map (fun (idx, (l : Line.t)) ->
-             if l.Line.owner = victim_pid && idx mod ways >= reserved then
-               Some l.tag
-             else None)
-    | _ -> Some target_set
+    | Spec.Newcache _ -> 0
+    | Spec.Nomo { reserved; _ } -> target_set + (reserved * sets)
+    | _ -> target_set
   in
-  match target with
-  | None -> None  (* no shared-way victim line materialised; skip sample *)
-  | Some v ->
-    let attacker_line =
-      Cachesec_attacks.Attacker.nth_conflict_line cfg ~set:target_set 0
-    in
-    ignore (engine.Engine.access ~pid:attacker_pid attacker_line);
-    Some (not (engine.Engine.peek ~pid:victim_pid v))
+  ignore
+    (engine.Engine.access ~pid:attacker_pid
+       (Cachesec_attacks.Attacker.nth_conflict_line cfg ~set:target_set 0));
+  not (engine.Engine.peek ~pid:victim_pid target)
 
 let eviction_closed_form spec =
   let e = Edge_probs.evict_and_time spec () in
   Edge_probs.find e "p1" *. Edge_probs.find e "p2" *. Edge_probs.find e "p3"
 
-let eviction_stage ?(samples = 20000) ?(seed = 91) spec =
-  let rng = Rng.create ~seed in
-  let hits = ref 0 and n = ref 0 in
-  while !n < samples do
-    match eviction_sample spec (Rng.split rng) with
-    | Some evicted ->
-      incr n;
-      if evicted then incr hits
-    | None -> ()
-  done;
-  {
-    label = "eviction p1*p2*p3";
-    arch = Spec.display_name spec;
-    closed_form = eviction_closed_form spec;
-    measured = float_of_int !hits /. float_of_int samples;
-    samples;
-  }
+(* A stage is a Bernoulli campaign over its sampler, reported next to
+   its closed form. *)
+let stage ctx ~name ~label ~closed_form ~samples spec sample =
+  Driver.map_pending
+    (fun measured ->
+      { label; arch = Spec.display_name spec; closed_form; measured; samples })
+    (Driver.submit ctx
+       (Driver.bernoulli ~name:(name ^ ":" ^ Spec.name spec) ~samples
+          (sample spec)))
+
+let eviction_stage ctx ~samples spec =
+  stage ctx ~name:"edge-eviction" ~label:"eviction p1*p2*p3"
+    ~closed_form:(eviction_closed_form spec) ~samples spec eviction_sample
 
 (* Reuse stage: victim touches line v, makes [gap] unrelated accesses,
    touches v again; count the second touch's hit. v sits far from 0 (an
@@ -94,7 +80,7 @@ let eviction_stage ?(samples = 20000) ?(seed = 91) spec =
 let reuse_line = 1000
 let filler_base = 50000
 
-let reuse_sample spec rng ~gap =
+let reuse_sample ~gap spec rng =
   let engine = Factory.build spec scenario ~rng in
   ignore (engine.Engine.access ~pid:victim_pid reuse_line);
   for i = 1 to gap do
@@ -117,19 +103,11 @@ let reuse_closed_form spec ~gap =
     p0 *. ((1. -. (1. /. n)) ** fgap)
   | _ -> p0 *. (p4 ** fgap)
 
-let reuse_stage ?(samples = 5000) ?(seed = 92) ?(gap = 100) spec =
-  let rng = Rng.create ~seed in
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    if reuse_sample spec (Rng.split rng) ~gap then incr hits
-  done;
-  {
-    label = Printf.sprintf "reuse p0*p4^%d" gap;
-    arch = Spec.display_name spec;
-    closed_form = reuse_closed_form spec ~gap;
-    measured = float_of_int !hits /. float_of_int samples;
-    samples;
-  }
+let reuse_stage ctx ~samples ?(gap = 100) spec =
+  stage ctx ~name:"edge-reuse"
+    ~label:(Printf.sprintf "reuse p0*p4^%d" gap)
+    ~closed_form:(reuse_closed_form spec ~gap) ~samples spec
+    (reuse_sample ~gap)
 
 (* Cross-context stage: victim fetches a shared line; attacker's
    immediate reload hits or not. *)
@@ -142,29 +120,26 @@ let cross_closed_form spec =
   let e = Edge_probs.flush_and_reload spec () in
   Edge_probs.find e "p0" *. Edge_probs.find e "p4"
 
-let cross_context_stage ?(samples = 5000) ?(seed = 93) spec =
-  let rng = Rng.create ~seed in
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    if cross_sample spec (Rng.split rng) then incr hits
-  done;
-  {
-    label = "cross-context p0*p4";
-    arch = Spec.display_name spec;
-    closed_form = cross_closed_form spec;
-    measured = float_of_int !hits /. float_of_int samples;
-    samples;
-  }
+let cross_context_stage ctx ~samples spec =
+  stage ctx ~name:"edge-cross-context" ~label:"cross-context p0*p4"
+    ~closed_form:(cross_closed_form spec) ~samples spec cross_sample
 
-let table ?samples ?seed () =
-  List.concat_map
-    (fun spec ->
-      [
-        eviction_stage ?samples ?seed spec;
-        reuse_stage ?samples:(Option.map (fun s -> s / 4) samples) ?seed spec;
-        cross_context_stage ?samples:(Option.map (fun s -> s / 4) samples) ?seed spec;
-      ])
-    Spec.all_paper
+(* Every (spec, stage) cell draws from its own seed, derived from
+   [ctx.seed] and the cell's position, and all 27 campaigns are
+   submitted before the first await. *)
+let table ctx ~samples =
+  let stages =
+    [
+      (fun ctx spec -> eviction_stage ctx ~samples spec);
+      (fun ctx spec -> reuse_stage ctx ~samples:(samples / 4) spec);
+      (fun ctx spec -> cross_context_stage ctx ~samples:(samples / 4) spec);
+    ]
+  in
+  Spec.all_paper
+  |> List.concat_map (fun spec -> List.map (fun run -> (run, spec)) stages)
+  |> List.mapi (fun i (run, spec) ->
+         run (Run.with_seed (Rng.derive_seed ctx.Run.seed (i + 1)) ctx) spec)
+  |> Driver.await_all
 
 let render ms =
   let rows =
@@ -187,10 +162,3 @@ let render ms =
   ^ Table.render
       ~headers:[ "Cache"; "stage"; "closed form"; "measured"; "samples" ]
       ~rows ()
-
-let max_relative_error ms =
-  List.fold_left
-    (fun acc m ->
-      Float.max acc
-        (Float.abs (m.measured -. m.closed_form) /. Float.max m.closed_form 0.01))
-    0. ms

@@ -15,8 +15,13 @@
       fetches a shared line and the attacker's immediate reload either
       hits or does not.
 
-    Each measurement is reported next to the closed form computed by
+    Each stage is a {!Driver.bernoulli} campaign over independent
+    samples on fresh caches (span [edge-<stage>:<cache>]), submitted on
+    the given context: sharded over [ctx.jobs] without changing the
+    result, and reported next to the closed form computed by
     {!Cachesec_analysis.Edge_probs} from the same spec. *)
+
+open Cachesec_runtime
 
 type measurement = {
   label : string;
@@ -27,22 +32,22 @@ type measurement = {
 }
 
 val eviction_stage :
-  ?samples:int -> ?seed:int -> Cachesec_cache.Spec.t -> measurement
-(** 20000 samples by default. For Nomo the designated line is one that
-    spilled into a shared way (the paper's interference case). *)
+  Run.ctx -> samples:int -> Cachesec_cache.Spec.t -> measurement Driver.pending
+(** For Nomo the designated line is one that spilled into a shared way
+    (the paper's interference case). *)
 
 val reuse_stage :
-  ?samples:int -> ?seed:int -> ?gap:int -> Cachesec_cache.Spec.t -> measurement
+  Run.ctx -> samples:int -> ?gap:int -> Cachesec_cache.Spec.t ->
+  measurement Driver.pending
 (** [gap] defaults to 100 unrelated victim accesses between the two
     touches (amplifies RE's per-access decay into a measurable range). *)
 
 val cross_context_stage :
-  ?samples:int -> ?seed:int -> Cachesec_cache.Spec.t -> measurement
+  Run.ctx -> samples:int -> Cachesec_cache.Spec.t -> measurement Driver.pending
 
-val table : ?samples:int -> ?seed:int -> unit -> measurement list
-(** All three stages for the nine caches. *)
+val table : Run.ctx -> samples:int -> measurement list
+(** All three stages for the nine caches: [samples] eviction samples and
+    [samples / 4] for each of the other two stages. Each of the 27
+    cells runs on its own seed derived from [ctx.seed]. *)
 
 val render : measurement list -> string
-val max_relative_error : measurement list -> float
-(** max over measurements of |measured − closed| / max(closed, 0.01) —
-    the figure the tests bound. *)

@@ -1,7 +1,7 @@
 (* Persistent, process-global Domain pool.
 
-   Why it exists: before this module, [Scheduler.parallel_init] spawned
-   and joined fresh Domains for every campaign, so a full harness run
+   Why it exists: before this module, the scheduler spawned and joined
+   fresh Domains for every campaign, so a full harness run
    (dozens of campaigns: 36 validation cells, figures, ablations) paid a
    spawn cost and a join-barrier idle tail per campaign — while the
    campaigns themselves ran strictly one after another, leaving cores

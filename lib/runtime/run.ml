@@ -31,8 +31,8 @@ let with_parent parent ctx = { ctx with parent }
 let quick ctx = { ctx with quick = true }
 
 (* Batch 0 reuses the experiment's root seed verbatim, so a run that
-   fits in a single batch is bit-identical to the legacy monolithic
-   serial loop (and to every result recorded before the trial-runtime
+   fits in a single batch is one serial pass over its trials on that
+   seed (and matches every result recorded before the trial-runtime
    refactor). Later batches draw well-separated seeds from the pure
    hash. This is the single point of seed derivation for the whole
    experiments layer. *)

@@ -44,9 +44,9 @@ val quick : ctx -> ctx
 (** Reduced trial counts ([Figures.Quick] scale). *)
 
 val seed_for_batch : seed:int -> int -> int
-(** Seed of trial batch [i]: the root [seed] itself for batch 0 (keeping
-    single-batch runs bit-identical to the legacy serial loops and to
-    the pre-runtime results), [Rng.derive_seed seed i] otherwise. The
+(** Seed of trial batch [i]: the root [seed] itself for batch 0 (so a
+    single-batch run is one serial pass on [seed], matching the
+    pre-runtime results), [Rng.derive_seed seed i] otherwise. The
     single point of seed derivation for the experiments layer. *)
 
 val batch_seed : ctx -> int -> int

@@ -309,10 +309,12 @@ let test_prepas_policy_monte_carlo () =
       List.iter
         (fun k ->
           let closed = Prepas.for_spec spec ~k in
-          let rng = Rng.create ~seed:0xC1EA0 in
           let mc =
-            Cachesec_attacks.Cleaner.monte_carlo spec ~accesses:k ~samples:400
-              ~rng
+            Cachesec_experiments.Driver.(
+              await
+                (submit
+                   (Cachesec_runtime.Run.make ~seed:0xC1EA0 ())
+                   (cleaning_game spec ~accesses:k ~samples:400)))
           in
           if Float.abs (closed -. mc) > 0.07 then
             Alcotest.failf "%s k=%d: closed form %.4f vs Monte-Carlo %.4f"

@@ -212,37 +212,58 @@ let test_sweep_csv_shapes () =
 
 (* --- Edge measurement ------------------------------------------------------------ *)
 
+(* Each stage is one campaign; the seeds are the stages' historical
+   defaults. *)
+let seeded seed = Cachesec_runtime.Run.make ~seed ()
+
 let test_edge_sa_eviction () =
-  let m = Edge_measure.eviction_stage ~samples:8000 Spec.paper_sa in
+  let m =
+    Driver.await
+      (Edge_measure.eviction_stage (seeded 91) ~samples:8000 Spec.paper_sa)
+  in
   Alcotest.(check (float 0.015)) "sa 1/8" m.Edge_measure.closed_form
     m.Edge_measure.measured
 
 let test_edge_partitioned_zero () =
   List.iter
     (fun spec ->
-      let m = Edge_measure.eviction_stage ~samples:500 spec in
+      let m =
+        Driver.await (Edge_measure.eviction_stage (seeded 91) ~samples:500 spec)
+      in
       Alcotest.(check (float 0.)) (Spec.name spec) 0. m.Edge_measure.measured)
     [ Spec.paper_sp; Spec.paper_pl ]
 
 let test_edge_nomo () =
-  let m = Edge_measure.eviction_stage ~samples:8000 Spec.paper_nomo in
+  let m =
+    Driver.await
+      (Edge_measure.eviction_stage (seeded 91) ~samples:8000 Spec.paper_nomo)
+  in
   Alcotest.(check (float 0.02)) "nomo 1/6" m.Edge_measure.closed_form
     m.Edge_measure.measured
 
 let test_edge_re_reuse () =
-  let m = Edge_measure.reuse_stage ~samples:3000 ~gap:100 Spec.paper_re in
+  let m =
+    Driver.await
+      (Edge_measure.reuse_stage (seeded 92) ~samples:3000 ~gap:100 Spec.paper_re)
+  in
   Alcotest.(check (float 0.02)) "re decay" m.Edge_measure.closed_form
     m.Edge_measure.measured
 
 let test_edge_rf_reuse () =
-  let m = Edge_measure.reuse_stage ~samples:3000 ~gap:10 Spec.paper_rf in
+  let m =
+    Driver.await
+      (Edge_measure.reuse_stage (seeded 92) ~samples:3000 ~gap:10 Spec.paper_rf)
+  in
   Alcotest.(check (float 0.01)) "rf p0" m.Edge_measure.closed_form
     m.Edge_measure.measured
 
 let test_edge_cross_context () =
   List.iter
     (fun spec ->
-      let m = Edge_measure.cross_context_stage ~samples:400 spec in
+      let m =
+        Driver.await
+          (Edge_measure.cross_context_stage (seeded 93) ~samples:400 spec)
+      in
       Alcotest.(check (float 0.)) (Spec.name spec) 0. m.Edge_measure.measured)
     [ Spec.paper_newcache; Spec.paper_rp ]
 

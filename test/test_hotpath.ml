@@ -11,7 +11,8 @@
    The allocation guard additionally pins hit paths to (essentially)
    zero minor-heap words per access and miss paths to a small bounded
    amount, on the generic path and on the scalar and batched kernels
-   of SA, PL and RP cells. *)
+   of SA, PL and RP cells, and on the generic-only SP and Nomo
+   engines. *)
 
 open Cachesec_stats
 open Cachesec_cache
@@ -42,8 +43,8 @@ let test_golden_traces () =
 
 (* The paths of one (arch, policy) cell, sharing one state: the generic
    policy-dispatching [access], then the [Auto] engine — its scalar
-   kernel and its batched [access_run] in [Fill] mode, driven one access
-   per run. *)
+   kernel (SP and Nomo: the generic access again) and its batched
+   [access_run] in [Fill] mode, driven one access per run. *)
 let paths arch policy ~seed : (pid:int -> int -> Outcome.t) list =
   let rng = Rng.create ~seed in
   let config = Config.standard in
@@ -58,6 +59,16 @@ let paths arch policy ~seed : (pid:int -> int -> Outcome.t) list =
     | `Rp ->
       let c = Rp.create ~config ~policy ~rng () in
       (Rp.access c, Rp.engine c)
+    | `Sp ->
+      (* pid 0's lines all live in its own partition, so they can hit. *)
+      let c =
+        Sp.create_two_domain ~config ~policy ~victim_pid:0
+          ~victim_lines:[ (0, max_int) ] ~rng ()
+      in
+      (Sp.access c, Sp.engine c)
+    | `Nomo ->
+      let c = Nomo.create ~config ~policy ~protected_pids:[ 0 ] ~rng () in
+      (Nomo.access c, Nomo.engine c)
   in
   let trace = [| 0 |] in
   [
@@ -135,5 +146,8 @@ let () =
           hit "pl/plru" `Pl Policy.Plru ~seed:47;
           hit "rp/lfu" `Rp Policy.Lfu ~seed:48;
           miss "pl/mfu" `Pl Policy.Mfu ~seed:49;
+          hit "sp/random" `Sp Policy.Random ~seed:50;
+          miss "sp/random" `Sp Policy.Random ~seed:51;
+          miss "nomo/random" `Nomo Policy.Random ~seed:52;
         ] );
     ]

@@ -209,6 +209,30 @@ let test_campaign_span_names () =
     [ "flush-reload:sa:adaptive" ] (span_names adaptive);
   Alcotest.(check (list string)) "adaptive span gauges"
     [ "trials_cap"; "trials" ] (gauges_of adaptive);
+  (* The Bernoulli campaigns name their spans the same way. *)
+  let events_of submit =
+    snd
+      (with_memory_tm @@ fun tm ->
+       ignore
+         (Driver.await (submit (Run.with_telemetry tm (Run.make ~seed:42 ())))))
+  in
+  let game =
+    events_of (fun ctx ->
+        Driver.submit ctx
+          (Driver.cleaning_game Spec.paper_sa ~accesses:16 ~samples:300))
+  in
+  let edge =
+    events_of (fun ctx ->
+        Edge_measure.eviction_stage ctx ~samples:300 Spec.paper_sa)
+  in
+  Alcotest.(check (list string)) "cleaning-game span" [ "cleaning-game:sa" ]
+    (span_names game);
+  Alcotest.(check (list string)) "cleaning-game span gauges" [ "trials" ]
+    (gauges_of game);
+  Alcotest.(check (list string)) "edge stage span" [ "edge-eviction:sa" ]
+    (span_names edge);
+  Alcotest.(check (list string)) "edge stage span gauges" [ "trials" ]
+    (gauges_of edge);
   Alcotest.(check bool) "fixed run saves nothing" false
     (counted "driver.trials_saved" fixed);
   Alcotest.(check bool) "adaptive run counts trials saved" true
